@@ -13,13 +13,21 @@ deterministic three-way rule:
 * neither covers the other: the writes were concurrent, raise
   DataRaceError for the full conflict set and change nothing.
 
+The walk itself may visit cells in any order: only the DataRaceError
+payload is put in canonical ascending address order, by sorting the
+conflicts. Cells are immutable and diffs share them, so a receiver that
+already holds the very cell object a diff ships skips it without a
+stamp test, and a receiver with no cells at all adopts the whole diff by
+copying it.
+
 Values are treated as opaque immutable data; equality of final states is
 structural equality of (stamp, value) maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, DataRaceError, UnallocatedError
 
@@ -30,9 +38,12 @@ ROOT_THREAD = 0
 _INITIAL_WRITER = -1
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """Location of one cell: owning thread plus per-owner slot number."""
+class Address(NamedTuple):
+    """Location of one cell: owning thread plus per-owner slot number.
+
+    A named tuple, so hashing, equality and canonical ordering run in C
+    on every cell lookup; ``hash(Address(o, s)) == hash((o, s))``.
+    """
 
     owner: int
     slot: int
@@ -184,30 +195,42 @@ class Workspace:
     def apply_diff(self, diff: Diff) -> None:
         """Merge an incoming diff, all cells or none.
 
-        The conflict scan walks addresses in canonical ascending order so
-        a DataRaceError payload is identical no matter which schedule
-        produced it. On conflict the workspace is left untouched.
+        Cells are visited in the diff's own order; the conflicts alone
+        are sorted by address, so a DataRaceError payload is identical no
+        matter which schedule produced it. On conflict the workspace is
+        left untouched. An empty receiver has nothing to defend and
+        adopts the diff's cells by copy.
         """
+        cells = self.cells
+        if not cells:
+            self.cells = dict(diff.writes)
+            self.knowledge = merge_knowledge(self.knowledge, diff.sender_knowledge)
+            return
+        mine = self.knowledge
+        theirs = diff.sender_knowledge
         adopt: list[tuple[Address, Cell]] = []
         conflicts: list[Conflict] = []
-        for addr in sorted(diff.writes):
-            incoming = diff.writes[addr]
-            local = self.cells.get(addr)
+        for addr, incoming in diff.writes.items():
+            local = cells.get(addr)
+            if local is incoming:
+                continue  # the very write event already held here
             if local is None:
                 # Never-seen address: nothing local to defend.
                 adopt.append((addr, incoming))
                 continue
-            if covers(self.knowledge, incoming.stamp):
+            stamp = incoming.stamp
+            if stamp.seq <= mine.get(stamp.writer, 0):
                 continue  # stale or already merged; keep local
-            if covers(diff.sender_knowledge, local.stamp):
+            held = local.stamp
+            if held.seq <= theirs.get(held.writer, 0):
                 adopt.append((addr, incoming))
             else:
-                conflicts.append(Conflict(addr, local.stamp, incoming.stamp))
+                conflicts.append(Conflict(addr, held, stamp))
         if conflicts:
+            conflicts.sort(key=attrgetter("addr"))
             raise DataRaceError(tuple(conflicts))
-        for addr, cell in adopt:
-            self.cells[addr] = cell
-        self.knowledge = merge_knowledge(self.knowledge, diff.sender_knowledge)
+        cells.update(adopt)
+        self.knowledge = merge_knowledge(mine, theirs)
 
     # ------------------------------------------------------------------
     # introspection helpers

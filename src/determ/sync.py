@@ -67,14 +67,14 @@ class ChannelRegistry:
         self._doomed: set[int] = set()
         # acquire label -> {release label -> diff} awaiting that acquire
         self._targeted: dict[SyncLabel, dict[SyncLabel, Diff]] = {}
-        # terminal releases, claimable by label
+        # terminal releases not yet claimed, by label
         self._floating: dict[SyncLabel, Diff] = {}
+        # claimed terminal release -> its acquire; the diff itself is dropped
         self._floating_claim: dict[SyncLabel, SyncLabel] = {}
         # every deposit ever made: release label -> set of targets
         self._rel_targets: dict[SyncLabel, set[SyncLabel]] = {}
         # executed acquires: acquire label -> the release labels it named
         self._claims: dict[SyncLabel, frozenset[SyncLabel]] = {}
-        self._consumed: set[ChannelId] = set()
         # tid -> (acquire label, named release labels) while blocked
         self._waiting: dict[int, tuple[SyncLabel, frozenset[SyncLabel]]] = {}
         self._wait_violation: dict[int, PairingError] = {}
@@ -179,25 +179,24 @@ class ChannelRegistry:
             if extras:
                 raise self._record("acquire", acq, tuple(named | extras))
             for rel in sorted(named):
-                other = self._floating_claim.get(rel)
-                if other is not None and other != acq:
-                    raise self._record("release", rel, (other, acq))
+                err = self._claimed_elsewhere(acq, (rel,))
+                if err is not None:
+                    raise err
                 aimed = self._rel_targets.get(rel)
                 if aimed and acq not in aimed and rel not in self._floating:
                     raise self._record("release", rel, tuple(aimed) + (acq,))
             deadline = None
             while True:
                 err = self._wait_violation.pop(tid, None)
+                if err is None:
+                    # Another acquire naming the same terminal release may
+                    # have claimed it while this one slept: the same
+                    # violation as finding it claimed on arrival.
+                    err = self._claimed_elsewhere(acq, named)
                 if err is not None:
                     self._waiting.pop(tid, None)
                     raise err
-                pending = self._targeted.get(acq, {})
-                missing = [
-                    rel
-                    for rel in named
-                    if rel not in pending and rel not in self._floating
-                ]
-                if not missing:
+                if not self._missing_for(acq, named):
                     break
                 self._waiting[tid] = (acq, named)
                 self._recompute_doom()
@@ -215,9 +214,8 @@ class ChannelRegistry:
                 if rel in pending:
                     out[rel] = pending.pop(rel)
                 else:
-                    out[rel] = self._floating[rel]
+                    out[rel] = self._floating.pop(rel)
                     self._floating_claim[rel] = acq
-                self._consumed.add(ChannelId(rel, acq))
             if acq in self._targeted and not self._targeted[acq]:
                 del self._targeted[acq]
             return out
@@ -255,9 +253,29 @@ class ChannelRegistry:
         self._cond.notify_all()
         return err
 
+    def _claimed_elsewhere(
+        self, acq: SyncLabel, rels: Iterable[SyncLabel]
+    ) -> PairingError | None:
+        """Record and return the violation for the lowest of ``rels`` whose
+        terminal release another acquire claimed."""
+        claimed = self._floating_claim
+        clash = [r for r in rels if r in claimed and claimed[r] != acq]
+        if not clash:
+            return None
+        rel = min(clash)
+        return self._record("release", rel, (claimed[rel], acq))
+
     def _missing_for(self, acq: SyncLabel, named: frozenset[SyncLabel]) -> list[SyncLabel]:
+        """Named releases not yet deposited. A terminal release claimed by
+        another acquire is not missing: the waiter raises on waking."""
         pending = self._targeted.get(acq, {})
-        return [r for r in named if r not in pending and r not in self._floating]
+        return [
+            r
+            for r in named
+            if r not in pending
+            and r not in self._floating
+            and r not in self._floating_claim
+        ]
 
     def _recompute_doom(self) -> None:
         """Least fixpoint of "some chain of running threads can still fill

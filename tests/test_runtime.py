@@ -677,6 +677,28 @@ def test_waiting_twice_is_a_pairing_violation():
     rt.finish()
 
 
+def test_claimed_terminal_diffs_are_not_retained():
+    rt = Runtime({"g": 1})
+    root = rt.root()
+    handle = root.spawn_task(lambda ctx: ctx.read("g"))
+    assert root.taskwait(handle) == 1
+    waited = SyncLabel(root.tid, root.ep.seq)
+    team = root.fork([lambda ctx: None] * 2)
+    root.join(team)
+    joined = SyncLabel(root.tid, root.ep.seq)
+    claimed = {handle.completion: waited}
+    claimed.update({SyncLabel(t, 0): joined for t in team.members})
+    assert not set(claimed) & set(rt.registry._floating)
+    # A second claim of any of those labels is still a violation.
+    for label, first in claimed.items():
+        with pytest.raises(PairingError) as info:
+            root.ep.acquire(root.ws, label)
+        assert info.value.kind == "release"
+        assert info.value.contested == label
+        assert info.value.claimants == (first, SyncLabel(root.tid, root.ep.seq))
+    rt.finish()
+
+
 def test_task_crash_resurfaces_at_taskwait():
     rt = Runtime()
     boom = KeyError("lost")

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from determ.errors import ConfigError, DataRaceError, UnallocatedError
+from determ.runtime import Runtime
 from determ.store import (
     INITIAL,
     ROOT_THREAD,
@@ -54,6 +55,30 @@ def test_address_and_stamp_render():
 def test_addresses_order_canonically():
     addrs = [Address(1, 2), Address(0, 9), Address(1, 1)]
     assert sorted(addrs) == [Address(0, 9), Address(1, 1), Address(1, 2)]
+
+
+def test_address_value_semantics_are_pinned():
+    addr = Address(3, 7)
+    assert str(addr) == "@3.7"
+    assert repr(addr) == "Address(owner=3, slot=7)"
+    assert (addr.owner, addr.slot) == (3, 7)
+    assert hash(addr) == hash((3, 7))
+    assert Address(3, 7) == addr and Address(7, 3) != addr
+    assert Address(2, 9) < addr < Address(3, 8) < Address(4, 0)
+    assert {addr: 1}[Address(owner=3, slot=7)] == 1
+
+
+def test_thread_ctx_dispatches_on_address_type():
+    rt = Runtime({"g": 4})
+    root = rt.root()
+    addr = global_addresses(["g"])["g"]
+    assert root.addr(addr) is addr
+    assert root.addr("g") == addr
+    assert root.read(addr) == root.read("g") == 4
+    # A bare tuple is a name lookup, not an address.
+    with pytest.raises(ConfigError):
+        root.addr((addr.owner, addr.slot))
+    rt.finish()
 
 
 def test_initial_stamp_is_covered_by_everyone():
@@ -246,6 +271,44 @@ def test_conflicts_report_in_ascending_address_order():
     assert len(addrs) == 3
 
 
+def test_conflicts_across_owners_sorted_despite_arrival_order():
+    # Owner 2's allocations reach both workspaces before owner 1's, so
+    # every dict holds the cells out of address order.
+    w1, w2 = Workspace(1), Workspace(2)
+    high = [w2.alloc(0), w2.alloc(0)]
+    low = w1.alloc(0)
+    b, s = Workspace(3), Workspace(4)
+    for ws in (b, s):
+        ws.apply_diff(w2.extract_diff())
+        ws.apply_diff(w1.extract_diff())
+        assert list(ws.cells) == high + [low]
+        for addr in high + [low]:
+            ws.write(addr, ws.owner)
+    before = b.state_bytes()
+    with pytest.raises(DataRaceError) as info:
+        b.apply_diff(s.extract_diff())
+    assert [c.addr for c in info.value.conflicts] == [low] + high
+    assert str(info.value) == (
+        "conflicting concurrent writes: "
+        "@1.1[3.3|4.3], @2.1[3.1|4.1], @2.2[3.2|4.2]"
+    )
+    assert b.state_bytes() == before
+
+
+def test_empty_receiver_adopts_whole_diff():
+    a = Workspace(1, {"x": 0})
+    a.write(global_addresses(["x"])["x"], 5)
+    a.alloc("mine")
+    diff = a.extract_diff()
+    fresh = Workspace(2)
+    fresh.apply_diff(diff)
+    assert fresh.cells == diff.writes and fresh.cells is not diff.writes
+    assert fresh.knowledge == diff.sender_knowledge
+    fresh.check_invariants()
+    fresh.alloc("own")
+    assert len(diff.writes) == 2  # the diff stays unchanged
+
+
 def test_conflict_message_names_cells_and_stamps():
     a, b, table = _pair()
     a.write(table["x"], 1)
@@ -330,7 +393,7 @@ class SetWorkspace:
     Where Workspace summarizes history as writer -> max-seq counters,
     this model records every observed VersionStamp in a set and decides
     keep/adopt/conflict by membership. No code is shared with the real
-    merge path beyond the dataclasses used as dictionary keys.
+    merge path beyond the value types used as dictionary keys.
     """
 
     def __init__(self, owner, init):
@@ -388,19 +451,25 @@ class SetWorkspace:
 
 
 def test_event_set_model_agrees_on_random_histories():
-    for seed in range(25):
+    # Some workspaces start empty, so their first acquire adopts a whole
+    # diff, and writes land on any cell a workspace holds, including
+    # cells other owners allocated, so dicts hold cells out of address
+    # order.
+    empty_adopts = foreign_writes = 0
+    for seed in range(50):
         rng = random.Random(seed)
         init = {"x": 0, "y": 0}
-        owners = [1, 2, 3]
-        real = {t: Workspace(t, init) for t in owners}
-        mini = {t: SetWorkspace(t, init) for t in owners}
-        table = global_addresses(init)
+        owners = [1, 2, 3, 4]
+        starts = {t: init if rng.random() < 0.5 else {} for t in owners}
+        real = {t: Workspace(t, starts[t]) for t in owners}
+        mini = {t: SetWorkspace(t, starts[t]) for t in owners}
         minted = []
         for _ in range(40):
             t = rng.choice(owners)
             action = rng.random()
-            if action < 0.45:
-                addr = table[rng.choice(["x", "y"])]
+            if action < 0.45 and real[t].cells:
+                addr = rng.choice(sorted(real[t].cells))
+                foreign_writes += addr.owner not in (t, ROOT_THREAD)
                 value = rng.randrange(100)
                 minted.append(real[t].write(addr, value))
                 mini[t].write(addr, value)
@@ -411,6 +480,7 @@ def test_event_set_model_agrees_on_random_histories():
                 minted.append(real[t].cells[addr].stamp)
             else:
                 target = rng.choice([o for o in owners if o != t])
+                empty_adopts += not real[target].cells
                 diff = real[t].extract_diff()
                 snapshot = mini[t].extract()
                 try:
@@ -434,3 +504,4 @@ def test_event_set_model_agrees_on_random_histories():
             # write event the history minted.
             for stamp in minted:
                 assert covers(real[t].knowledge, stamp) == mini[t].seen(stamp)
+    assert empty_adopts > 0 and foreign_writes > 0

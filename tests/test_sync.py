@@ -8,6 +8,7 @@ emit.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -147,6 +148,86 @@ def test_terminal_release_claimed_twice():
 def test_terminal_label_reuse_is_a_violation():
     reg = ChannelRegistry()
     reg.deposit_terminal(lab(5, 0), empty_diff())
+    with pytest.raises(PairingError):
+        reg.deposit_terminal(lab(5, 0), empty_diff())
+
+
+def _payload(err):
+    return (str(err), err.kind, err.contested, err.claimants)
+
+
+def test_terminal_double_claim_payload_ignores_arrival_order():
+    # Two acquires naming one terminal label: the loser raises the same
+    # violation whether the deposit came before both claims or after
+    # both had blocked.
+    first, second = lab(1, 1), lab(2, 1)
+
+    early = ChannelRegistry()
+    diff = empty_diff()
+    early.deposit_terminal(lab(5, 0), diff)
+    assert early.claim(first, [lab(5, 0)], tid=1) == {lab(5, 0): diff}
+    with pytest.raises(PairingError) as info:
+        early.claim(second, [lab(5, 0)], tid=2)
+    deposit_first = _payload(info.value)
+
+    late = ChannelRegistry()
+    for tid in (1, 2, 5):
+        late.register(tid)
+    results = {
+        tid: run_async(lambda a=acq, t=tid: late.claim(a, [lab(5, 0)], tid=t))
+        for tid, acq in ((1, first), (2, second))
+    }
+    deadline = time.monotonic() + 10.0
+    while len(late._waiting) < 2:
+        assert time.monotonic() < deadline, "claimers never blocked"
+        time.sleep(0.001)
+    late.deposit_terminal(lab(5, 0), diff)
+    served, raised = [], []
+    for result in results.values():
+        try:
+            served.append(result())
+        except PairingError as err:
+            raised.append(err)
+    assert served == [{lab(5, 0): diff}]
+    (err,) = raised
+    assert _payload(err) == deposit_first
+    assert [_payload(v) for v in late.violations()] == [
+        _payload(v) for v in early.violations()
+    ]
+    assert late.doomed() == ()
+
+
+def test_loser_of_a_terminal_claim_is_not_doomed():
+    # The winner pops the terminal diff and its thread finishes before
+    # the blocked loser wakes; the loser must raise the pairing error,
+    # not be counted among the deadlocked.
+    reg = ChannelRegistry()
+    for tid in (1, 2, 5):
+        reg.register(tid)
+    loser = run_async(lambda: reg.claim(lab(2, 1), [lab(5, 0)], tid=2))
+    deadline = time.monotonic() + 10.0
+    while not reg._waiting:
+        assert time.monotonic() < deadline, "claimer never blocked"
+        time.sleep(0.001)
+    with reg._cond:  # the loser cannot wake until all three steps are done
+        reg.deposit_terminal(lab(5, 0), empty_diff())
+        reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
+        reg.mark_done(5)
+    with pytest.raises(PairingError) as info:
+        loser()
+    assert info.value.claimants == (lab(1, 1), lab(2, 1))
+    assert reg.doomed() == ()
+
+
+def test_claimed_terminal_diff_is_dropped():
+    reg = ChannelRegistry()
+    reg.deposit_terminal(lab(5, 0), Diff({5: 1}, {}))
+    reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
+    assert lab(5, 0) not in reg._floating
+    # The claim tombstone still guards the label.
+    with pytest.raises(PairingError) as info:
+        reg.claim(lab(2, 1), [lab(5, 0)], tid=2)
+    assert info.value.claimants == (lab(1, 1), lab(2, 1))
     with pytest.raises(PairingError):
         reg.deposit_terminal(lab(5, 0), empty_diff())
 
