@@ -2,7 +2,7 @@
 
 Two engines answer "what outcomes can this program produce?":
 
-* :func:`enumerate_dc` explores every interleaving under the paired-channel
+* :func:`enumerate_dc` explores the schedules of the paired-channel
   model. It is written as an independent simulator: where workspaces
   compress causal history into per-writer version vectors, the simulator
   carries explicit sets of observed write events and decides staleness by
@@ -12,6 +12,26 @@ Two engines answer "what outcomes can this program produce?":
   shared store, where a release is a no-op and an acquire merely waits for
   its partner's event counter. The gap between the two outcome sets is
   what the paired-channel model buys.
+
+Both run on one depth-first driver, :func:`_explore`, with state
+deduplication and partial-order reduction in its simplest static form,
+a singleton persistent set (Flanagan & Godefroid, POPL 2005). Before a
+state is deduplicated, its ``settle`` step runs, in place, every step
+that commutes with all other threads' steps and that no step can
+disable:
+
+* paired-channel model: READ, WRITE and ALLOC, which touch only the
+  thread's private workspace;
+* shared store: enabled REL and ACQ, which only advance the thread's own
+  event counter. That can enable another thread's acquire but changes
+  nothing else.
+
+Such a step is taken in every complete schedule from the state where it
+is enabled, and running it early only moves it across steps it commutes
+with. So every terminal state, deadlocks included, stays reachable: the
+outcome set is exact and only the count of states shrinks. What is left
+to interleave is what can interact: sync events under the paired-channel
+model, memory operations under the shared store.
 
 :func:`run_on_runtime` executes the program on the real workspace/channel
 stack under a seeded schedule perturbation, and :func:`check_program`
@@ -31,7 +51,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     DataRaceError,
@@ -39,6 +59,7 @@ from .errors import (
     LimitError,
     PairingError,
 )
+from .runtime import perturb_hook
 from .script import (
     AcquireOp,
     AllocOp,
@@ -183,6 +204,10 @@ def _check_limits(program: ScriptProgram) -> None:
 # paired-channel simulator (observed-event-set semantics)
 # ----------------------------------------------------------------------
 
+# Steps that touch only the running thread's own state in the
+# paired-channel model; the shared-store model interleaves exactly these.
+_PRIVATE_OPS = (ReadOp, WriteOp, AllocOp)
+
 # A release snapshot: (sorted (address, (event, value)) items, observed set)
 _Snap = tuple[tuple[tuple[Address, tuple[VersionStamp, Any]], ...], frozenset]
 
@@ -320,14 +345,26 @@ class _DcState:
 
     # -- transition -------------------------------------------------------
 
-    def step(self, program: ScriptProgram, t: int) -> "_DcState":
-        st = self.clone()
-        th = st.threads[t]
+    def settle(self, program: ScriptProgram) -> None:
+        """Run every thread's leading READ/WRITE/ALLOC ops in place.
+
+        They read and write only the thread's own store, locals, write
+        counter and observed set, which no other thread's step reads, and
+        nothing can disable them; so they commute with every other step.
+        """
+        for t, th in enumerate(self.threads):
+            ops = program.threads[t]
+            while th.status == "run" and isinstance(ops[th.pc], _PRIVATE_OPS):
+                self.step(program, t)
+
+    def step(self, program: ScriptProgram, t: int) -> None:
+        """Run thread ``t``'s next operation in place."""
+        th = self.threads[t]
         op = program.threads[t][th.pc]
         if isinstance(op, ReadOp):
-            th.locals[op.into] = th.store[st._resolve(t, op.cell, program)][1]
+            th.locals[op.into] = th.store[self._resolve(t, op.cell)][1]
         elif isinstance(op, WriteOp):
-            addr = st._resolve(t, op.cell, program)
+            addr = self._resolve(t, op.cell)
             th.wseq += 1
             event = VersionStamp(t, th.wseq)
             th.store[addr] = (event, eval_expr(op.expr, th.locals))
@@ -342,18 +379,17 @@ class _DcState:
             th.observed.add(event)
             th.locals[op.into] = addr
         elif isinstance(op, ReleaseOp):
-            st._release(t, op)
+            self._release(t, op)
         elif isinstance(op, AcquireOp):
-            st._acquire(t, op)
+            self._acquire(t, op)
         else:  # pragma: no cover - parser emits no other ops
             raise AssertionError(op)
         if th.status == "run":
             th.pc += 1
             if th.pc == len(program.threads[t]):
                 th.status = "done"
-        return st
 
-    def _resolve(self, t: int, cell: str, program: ScriptProgram) -> Address:
+    def _resolve(self, t: int, cell: str) -> Address:
         if cell in self.table:
             return self.table[cell]
         return self.threads[t].locals[cell]
@@ -445,15 +481,19 @@ class _DcState:
         return derive_outcome(view, races, violations, doomed, rev)
 
 
-def enumerate_dc(
-    program: ScriptProgram, max_states: int = DEFAULT_MAX_STATES
+def _explore(
+    init: "_DcState | _ScState", program: ScriptProgram, max_states: int
 ) -> EnumerationResult:
-    """All outcomes reachable under any schedule of the paired-channel
-    model, by depth-first search over whole-operation interleavings with
-    state deduplication."""
+    """Depth-first search over whole-operation interleavings from ``init``,
+    with state deduplication.
+
+    Every state is settled before its key is taken, so only the steps
+    that can interact are interleaved; ``states`` counts distinct settled
+    states.
+    """
     _check_limits(program)
     rev = _reverse_names(program)
-    init = _DcState(program)
+    init.settle(program)
     seen = {init.key()}
     stack = [init]
     outcomes: set[Outcome] = set()
@@ -464,7 +504,9 @@ def enumerate_dc(
             outcomes.add(st.outcome(program, rev))
             continue
         for t in frontier:
-            nxt = st.step(program, t)
+            nxt = st.clone()
+            nxt.step(program, t)
+            nxt.settle(program)
             k = nxt.key()
             if k in seen:
                 continue
@@ -473,6 +515,18 @@ def enumerate_dc(
             seen.add(k)
             stack.append(nxt)
     return EnumerationResult(tuple(sorted(outcomes)), len(seen))
+
+
+def enumerate_dc(
+    program: ScriptProgram, max_states: int = DEFAULT_MAX_STATES
+) -> EnumerationResult:
+    """All outcomes reachable under any schedule of the paired-channel
+    model.
+
+    Each thread's READ/WRITE/ALLOC ops run eagerly, since they touch only
+    its private workspace; the search interleaves the sync events alone.
+    """
+    return _explore(_DcState(program), program, max_states)
 
 
 # ----------------------------------------------------------------------
@@ -516,42 +570,57 @@ class _ScState:
             tuple(sorted(self.shared.items())),
         )
 
-    def runnable(self, program: ScriptProgram) -> list[int]:
-        out = []
-        for t in range(program.nthreads):
-            ops = program.threads[t]
-            if self.pcs[t] >= len(ops):
-                continue
-            op = ops[self.pcs[t]]
-            if isinstance(op, AcquireOp) and not all(
-                self.nsyncs[lab.thread] >= lab.seq for lab in op.partners
-            ):
-                continue
-            out.append(t)
-        return out
+    def _enabled(self, op: Any) -> bool:
+        return not isinstance(op, AcquireOp) or all(
+            self.nsyncs[lab.thread] >= lab.seq for lab in op.partners
+        )
 
-    def step(self, program: ScriptProgram, t: int) -> "_ScState":
-        st = self.clone()
-        op = program.threads[t][st.pcs[t]]
-        table = st.table
+    def runnable(self, program: ScriptProgram) -> list[int]:
+        return [
+            t
+            for t, ops in enumerate(program.threads)
+            if self.pcs[t] < len(ops) and self._enabled(ops[self.pcs[t]])
+        ]
+
+    def settle(self, program: ScriptProgram) -> None:
+        """Run every enabled REL/ACQ in place, until none is left.
+
+        A sync op only increments its own thread's event counter: that can
+        enable another thread's acquire but can disable or change nothing,
+        so it commutes with every other step.
+        """
+        progress = True
+        while progress:
+            progress = False
+            for t, ops in enumerate(program.threads):
+                while self.pcs[t] < len(ops):
+                    op = ops[self.pcs[t]]
+                    if isinstance(op, _PRIVATE_OPS) or not self._enabled(op):
+                        break
+                    self.step(program, t)
+                    progress = True
+
+    def step(self, program: ScriptProgram, t: int) -> None:
+        """Run thread ``t``'s next operation in place."""
+        op = program.threads[t][self.pcs[t]]
+        table = self.table
         if isinstance(op, ReadOp):
-            addr = table.get(op.cell) or st.locals[t][op.cell]
-            st.locals[t][op.into] = st.shared[addr]
+            addr = table.get(op.cell) or self.locals[t][op.cell]
+            self.locals[t][op.into] = self.shared[addr]
         elif isinstance(op, WriteOp):
-            addr = table.get(op.cell) or st.locals[t][op.cell]
-            st.shared[addr] = eval_expr(op.expr, st.locals[t])
+            addr = table.get(op.cell) or self.locals[t][op.cell]
+            self.shared[addr] = eval_expr(op.expr, self.locals[t])
         elif isinstance(op, AllocOp):
-            st.nallocs[t] += 1
+            self.nallocs[t] += 1
             base = len(program.globals) if t == ROOT_THREAD else 0
-            addr = Address(t, base + st.nallocs[t])
-            st.shared[addr] = None
-            st.locals[t][op.into] = addr
+            addr = Address(t, base + self.nallocs[t])
+            self.shared[addr] = None
+            self.locals[t][op.into] = addr
         elif isinstance(op, (ReleaseOp, AcquireOp)):
             # Under the flat model sync events only advance the counter an
             # acquire waits on; no payload moves because memory is shared.
-            st.nsyncs[t] += 1
-        st.pcs[t] += 1
-        return st
+            self.nsyncs[t] += 1
+        self.pcs[t] += 1
 
     def outcome(self, program: ScriptProgram, rev: Mapping[Address, str]) -> Outcome:
         blocked = [
@@ -567,48 +636,18 @@ class _ScState:
 def enumerate_sc(
     program: ScriptProgram, max_states: int = DEFAULT_MAX_STATES
 ) -> EnumerationResult:
-    """All outcomes of the same script over a single shared store."""
-    _check_limits(program)
-    rev = _reverse_names(program)
-    init = _ScState(program)
-    seen = {init.key()}
-    stack = [init]
-    outcomes: set[Outcome] = set()
-    while stack:
-        st = stack.pop()
-        frontier = st.runnable(program)
-        if not frontier:
-            outcomes.add(st.outcome(program, rev))
-            continue
-        for t in frontier:
-            nxt = st.step(program, t)
-            k = nxt.key()
-            if k in seen:
-                continue
-            if len(seen) >= max_states:
-                raise LimitError(f"state budget exceeded ({max_states})")
-            seen.add(k)
-            stack.append(nxt)
-    return EnumerationResult(tuple(sorted(outcomes)), len(seen))
+    """All outcomes of the same script over a single shared store.
+
+    Enabled REL/ACQ ops run eagerly, since they only advance their own
+    thread's event counter; the search interleaves the memory operations
+    alone.
+    """
+    return _explore(_ScState(program), program, max_states)
 
 
 # ----------------------------------------------------------------------
 # execution on the real stack
 # ----------------------------------------------------------------------
-
-
-def _perturb_hook(seed: int | None, tid: int, delay: float) -> Callable[[], None] | None:
-    if seed is None or delay <= 0:
-        return None
-    import random
-    import time
-
-    rng = random.Random(seed * 1_000_003 + tid * 7919 + 17)
-
-    def hook() -> None:
-        time.sleep(rng.random() * delay)
-
-    return hook
 
 
 def run_on_runtime(
@@ -621,10 +660,12 @@ def run_on_runtime(
     The result is folded by the same rule as the enumerators.
     """
     registry = ChannelRegistry()
-    rev = _reverse_names(program)
     table = global_addresses(name for name, _ in program.globals)
+    rev = {addr: name for name, addr in table.items()}
     init = dict(program.globals)
-    workspaces = {t: Workspace(t, init) for t in range(program.nthreads)}
+    workspaces = {
+        t: Workspace(t, init, names=table) for t in range(program.nthreads)
+    }
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
     for t in range(program.nthreads):
@@ -633,7 +674,7 @@ def run_on_runtime(
     def runner(tid: int) -> None:
         ws = workspaces[tid]
         ep = Endpoint(registry, tid)
-        hook = _perturb_hook(seed, tid, delay)
+        hook = perturb_hook(seed, tid, delay)
         locals_: dict[str, Any] = {}
 
         def resolve(cell: str) -> Address:

@@ -196,6 +196,25 @@ def plan_pairwise_barrier(
     return steps, {r: seqs[r] + 2 for r in range(n)}
 
 
+def perturb_hook(
+    seed: int | None, tid: int, delay: float
+) -> Callable[[], None] | None:
+    """The seeded schedule perturbation of one thread, or None when off.
+
+    Each call sleeps a pseudo-random fraction of ``delay`` drawn from a
+    stream that depends only on (seed, tid), so one seed replays the same
+    delays on every run.
+    """
+    if seed is None or delay <= 0:
+        return None
+    rng = random.Random(seed * 1_000_003 + tid * 7919 + 17)
+
+    def hook() -> None:
+        time.sleep(rng.random() * delay)
+
+    return hook
+
+
 def tree_fold(values: Sequence[Any], combine: Callable[[Any, Any], Any]) -> Any:
     """Fold by adjacent pairing, the same shape the combining tree uses."""
     vals = list(values)
@@ -306,23 +325,12 @@ class Runtime:
         self._root = ThreadCtx(
             self,
             tid=0,
-            ws=Workspace(0, self._globals),
+            ws=Workspace(0, self._globals, names=self.names),
             ep=self._endpoint(0),
         )
         self._finished = False
 
     # -- plumbing ------------------------------------------------------
-
-    def _hook_for(self, tid: int) -> Callable[[], None] | None:
-        if self._seed is None or self._delay <= 0:
-            return None
-        rng = random.Random(self._seed * 1_000_003 + tid * 7919 + 17)
-        delay = self._delay
-
-        def hook() -> None:
-            time.sleep(rng.random() * delay)
-
-        return hook
 
     def _record_trace(self, line: str) -> None:
         with self._lock:
@@ -331,7 +339,8 @@ class Runtime:
 
     def _endpoint(self, tid: int) -> Endpoint:
         recorder = self._record_trace if self._trace_lines is not None else None
-        return Endpoint(self.registry, tid, hook=self._hook_for(tid), recorder=recorder)
+        hook = perturb_hook(self._seed, tid, self._delay)
+        return Endpoint(self.registry, tid, hook=hook, recorder=recorder)
 
     def _claim_tids(self, count: int) -> tuple[int, ...]:
         # Consecutive ids per spawn call; deterministic whenever spawns are
@@ -498,10 +507,7 @@ class ThreadCtx:
         if self.tid != team.parent:
             raise ConfigError("only the forking thread may join a team")
         partners = [SyncLabel(t, TERMINAL_SEQ) for t in team.members]
-        pre_stamps = {
-            spec.var: self.ws.cells[self.addr(spec.var)].stamp
-            for spec in team.reductions
-        }
+        pre_stamps = self._reduction_prestamps(team)
         try:
             self.ep.acquire_set(self.ws, partners)
         except DeadlockError:
@@ -517,15 +523,7 @@ class ThreadCtx:
         )
         if pending:
             raise ConfigError(f"tasks {pending} were never waited before team join")
-        for idx, spec in enumerate(team.reductions):
-            var_addr = self._check_fold_safe(spec, pre_stamps[spec.var])
-            partials = [
-                self.ws.read(Address(t, idx + 1)) for t in team.members
-            ]
-            folded = spec.combine(
-                self.ws.read(var_addr), tree_fold(partials, spec.combine)
-            )
-            self._write_fold(var_addr, folded)
+        self._fold_partials(team, pre_stamps)
 
     def fork_join(
         self,
@@ -637,16 +635,8 @@ class ThreadCtx:
         if acq_steps:
             self._expect_label(acq_steps[0].mine, "barrier")
             self.ep.acquire_set(self.ws, [s.partner for s in acq_steps])
-        if fold and team.reductions and self.rank == 0:
-            for idx, spec in enumerate(team.reductions):
-                var_addr = self._check_fold_safe(spec, pre[spec.var])
-                partials = [
-                    self.ws.read(Address(t, idx + 1)) for t in team.members
-                ]
-                folded = spec.combine(
-                    self.ws.read(var_addr), tree_fold(partials, spec.combine)
-                )
-                self._write_fold(var_addr, folded)
+        if fold and self.rank == 0:
+            self._fold_partials(team, pre)
 
     def _reduction_prestamps(self, team: Team) -> dict[str, Any]:
         return {
@@ -675,6 +665,20 @@ class ThreadCtx:
         stamp = self.ws.write(var_addr, value)
         with self.rt._lock:
             self.rt._fold_stamps.add(stamp)
+
+    def _fold_partials(self, team: Team, pre: dict[str, Any]) -> None:
+        """Fold every member's accumulator into each reduction variable,
+        over the rank tree; used where the folder holds all partials (a
+        join, a pairwise barrier)."""
+        for idx, spec in enumerate(team.reductions):
+            var_addr = self._check_fold_safe(spec, pre[spec.var])
+            partials = [
+                self.ws.read(Address(t, idx + 1)) for t in team.members
+            ]
+            folded = spec.combine(
+                self.ws.read(var_addr), tree_fold(partials, spec.combine)
+            )
+            self._write_fold(var_addr, folded)
 
     def _combine_from(self, team: Team, partner_rank: int) -> None:
         for idx, spec in enumerate(team.reductions):

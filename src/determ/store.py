@@ -133,26 +133,30 @@ class Workspace:
         self,
         owner: int,
         globals: Mapping[str, Any] | Iterable[tuple[str, Any]] = (),
+        names: Mapping[str, Address] | None = None,
     ) -> None:
+        """``names``, when given, is ``global_addresses`` of the globals'
+        names, for a caller that built that table already."""
         if owner < 0:
             raise ConfigError(f"thread id must be non-negative, got {owner}")
-        pairs = list(globals.items()) if isinstance(globals, Mapping) else list(globals)
-        seen: set[str] = set()
-        for name, _ in pairs:
-            if name in seen:
-                raise ConfigError(f"duplicate global name {name!r}")
-            seen.add(name)
+        if isinstance(globals, Mapping):
+            by_name = dict(globals)
+        else:
+            by_name = {}
+            for name, value in globals:
+                if name in by_name:
+                    raise ConfigError(f"duplicate global name {name!r}")
+                by_name[name] = value
         self.owner = owner
-        self.cells: dict[Address, Cell] = {}
         self.knowledge: dict[int, int] = {}
         self._write_counter = 0
         # Global slots are burned out of the root's allocation sequence so
         # root allocations can never collide with named globals.
-        self._alloc_counter = len(pairs) if owner == ROOT_THREAD else 0
-        table = global_addresses(name for name, _ in pairs)
-        by_name = dict(pairs)
-        for name, addr in table.items():
-            self.cells[addr] = Cell(INITIAL, by_name[name])
+        self._alloc_counter = len(by_name) if owner == ROOT_THREAD else 0
+        table = names if names is not None else global_addresses(by_name)
+        self.cells: dict[Address, Cell] = {
+            addr: Cell(INITIAL, by_name[name]) for name, addr in table.items()
+        }
 
     # ------------------------------------------------------------------
     # data operations

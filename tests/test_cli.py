@@ -39,7 +39,7 @@ def test_check_reports_a_deterministic_verdict(capsys):
     assert code == 0
     assert report["program"] == ["swap"]
     assert report["dc_outcomes"] == ["1"]
-    assert report["dc_states"] == ["32"]
+    assert report["dc_states"] == ["14"]
     assert report["dc_outcome"] == ["STATE x=2 y=1"]
     assert report["trials"] == ["3"]
     assert report["trial_outcome"] == ["STATE x=2 y=1"]

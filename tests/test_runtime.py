@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 import random
 import threading
+import time
 
 import pytest
 
@@ -28,10 +29,11 @@ from determ.runtime import (
     Runtime,
     StaticSchedule,
     plan_pairwise_barrier,
+    perturb_hook,
     plan_tree_barrier,
     tree_fold,
 )
-from determ.store import Address
+from determ.store import Address, global_addresses
 from determ.sync import SyncLabel
 
 
@@ -266,6 +268,30 @@ def test_unknown_global_is_a_config_error():
     with pytest.raises(ConfigError):
         rt.root().read("y")
     rt.finish()
+
+
+def test_global_names_are_the_root_workspace_addresses():
+    globals_ = {f"v{i:02d}": i for i in range(17)}
+    rt = Runtime(globals_)
+    ws = rt.root().ws
+    assert rt.names == global_addresses(globals_)
+    assert sorted(rt.names.values()) == sorted(ws.cells)
+    assert {name: ws.read(addr) for name, addr in rt.names.items()} == globals_
+    # Root allocations continue after the global slots.
+    assert rt.root().alloc(None) == Address(0, len(globals_) + 1)
+    rt.finish()
+
+
+def test_perturbation_delays_are_a_pure_function_of_seed_and_tid(monkeypatch):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    hook = perturb_hook(5, 3, 0.5)
+    for _ in range(4):
+        hook()
+    rng = random.Random(5 * 1_000_003 + 3 * 7919 + 17)
+    assert slept == [rng.random() * 0.5 for _ in range(4)]
+    assert perturb_hook(None, 3, 0.5) is None
+    assert perturb_hook(5, 3, 0.0) is None
 
 
 # ----------------------------------------------------------------------
