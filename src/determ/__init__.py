@@ -42,40 +42,22 @@ from .runtime import (
     TaskHandle,
     Team,
     ThreadCtx,
-    tree_fold,
 )
 from .script import ScriptProgram, parse_script
-from .store import (
-    INITIAL,
-    Address,
-    Cell,
-    Conflict,
-    Diff,
-    VersionStamp,
-    Workspace,
-    covers,
-    global_addresses,
-    merge_knowledge,
-)
-from .sync import TERMINAL_SEQ, ChannelId, ChannelRegistry, Endpoint, SyncLabel
+from .store import Address, Conflict, VersionStamp
+from .sync import SyncLabel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Address",
-    "Cell",
-    "ChannelId",
-    "ChannelRegistry",
     "CheckReport",
     "ConfigError",
     "Conflict",
     "DataRaceError",
     "DeadlockError",
     "DetermError",
-    "Diff",
-    "Endpoint",
     "EnumerationResult",
-    "INITIAL",
     "LimitError",
     "MAX_OPS",
     "MAX_THREADS",
@@ -88,23 +70,17 @@ __all__ = [
     "ScriptProgram",
     "StaticSchedule",
     "SyncLabel",
-    "TERMINAL_SEQ",
     "TaskHandle",
     "Team",
     "ThreadCtx",
     "UnallocatedError",
     "VersionStamp",
-    "Workspace",
     "check_program",
     "corpus_names",
-    "covers",
     "enumerate_dc",
     "enumerate_sc",
-    "global_addresses",
     "load_corpus",
-    "merge_knowledge",
     "parse_script",
     "run_on_runtime",
-    "tree_fold",
     "__version__",
 ]

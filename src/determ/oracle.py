@@ -33,9 +33,10 @@ outcome set is exact and only the count of states shrinks. What is left
 to interleave is what can interact: sync events under the paired-channel
 model, memory operations under the shared store.
 
-:func:`run_on_runtime` executes the program on the real workspace/channel
-stack under a seeded schedule perturbation, and :func:`check_program`
-cross-checks many such runs against the enumeration.
+:func:`run_on_runtime` executes the program on :class:`Runtime`, the
+same executor library programs run on, under a seeded schedule
+perturbation, and :func:`check_program` cross-checks many such runs
+against the enumeration.
 
 Enumeration treats each scripted operation as atomic. That matches the
 runtime, whose registry updates happen under one lock, with one knowing
@@ -44,11 +45,13 @@ acquire and aimed at several channels can report its (identical-kind)
 violation with claimant lists of different widths depending on intra-event
 timing. Such programs are doubly broken; the checker still reports a
 pairing outcome for them but is only advertised as exact for programs
-whose violations are intra-event unambiguous.
+whose violations are intra-event unambiguous. Separately, the runtime
+dooms a thread caught in a wait cycle at once, while the model still
+lets a later mis-paired release fault it, so a run of such a program can
+report fewer pairing violations than the enumeration.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
@@ -59,7 +62,7 @@ from .errors import (
     LimitError,
     PairingError,
 )
-from .runtime import perturb_hook
+from .runtime import Runtime, ThreadCtx
 from .script import (
     AcquireOp,
     AllocOp,
@@ -76,17 +79,14 @@ from .store import (
     Address,
     Conflict,
     VersionStamp,
-    Workspace,
     global_addresses,
 )
-from .sync import ChannelRegistry, Endpoint, SyncLabel
+from .sync import SyncLabel
 
 #: Enumeration is only offered for programs this small.
 MAX_THREADS = 4
 MAX_OPS = 12  # per thread
 DEFAULT_MAX_STATES = 200_000
-
-_RUN_JOIN_TIMEOUT = 60.0
 
 
 # ----------------------------------------------------------------------
@@ -653,65 +653,41 @@ def enumerate_sc(
 def run_on_runtime(
     program: ScriptProgram, seed: int | None = None, delay: float = 0.002
 ) -> Outcome:
-    """Execute the script on real workspaces, channels, and OS threads.
+    """Execute the script on :class:`Runtime`, one logical thread per
+    script thread.
 
-    Every thread sleeps a seeded pseudo-random amount before each
-    operation, so different seeds exercise genuinely different schedules.
-    The result is folded by the same rule as the enumerators.
+    Thread 0 is the runtime's root and runs on the calling thread; the
+    others run on OS threads the runtime launches. Every thread sleeps a
+    seeded pseudo-random amount before each operation, so different seeds
+    exercise genuinely different schedules. The result is folded by the
+    same rule as the enumerators.
     """
-    registry = ChannelRegistry()
-    table = global_addresses(name for name, _ in program.globals)
-    rev = {addr: name for name, addr in table.items()}
-    init = dict(program.globals)
-    workspaces = {
-        t: Workspace(t, init, names=table) for t in range(program.nthreads)
-    }
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    for t in range(program.nthreads):
-        registry.register(t)
+    rt = Runtime(dict(program.globals), seed=seed, delay=delay)
+    names = rt.names
 
-    def runner(tid: int) -> None:
-        ws = workspaces[tid]
-        ep = Endpoint(registry, tid)
-        hook = perturb_hook(seed, tid, delay)
+    def script_main(ctx: ThreadCtx) -> None:
         locals_: dict[str, Any] = {}
+        for op in program.threads[ctx.tid]:
+            if isinstance(op, ReadOp):
+                locals_[op.into] = ctx.read(names.get(op.cell) or locals_[op.cell])
+            elif isinstance(op, WriteOp):
+                addr = names.get(op.cell) or locals_[op.cell]
+                ctx.write(addr, eval_expr(op.expr, locals_))
+            elif isinstance(op, AllocOp):
+                locals_[op.into] = ctx.alloc(None)
+            elif isinstance(op, ReleaseOp):
+                ctx.ep.release_set(ctx.ws, op.partners)
+            elif isinstance(op, AcquireOp):
+                ctx.ep.acquire_set(ctx.ws, op.partners)
 
-        def resolve(cell: str) -> Address:
-            return table.get(cell) or locals_[cell]
+    root = rt.root()
+    peers = [rt._peer(t, seeded=True) for t in rt._claim_tids(program.nthreads - 1)]
+    for ctx in peers:
+        rt._launch(ctx, script_main)
+    rt._run(root, script_main)
+    rt.finish()
 
-        try:
-            for op in program.threads[tid]:
-                if hook is not None:
-                    hook()
-                if isinstance(op, ReadOp):
-                    locals_[op.into] = ws.read(resolve(op.cell))
-                elif isinstance(op, WriteOp):
-                    ws.write(resolve(op.cell), eval_expr(op.expr, locals_))
-                elif isinstance(op, AllocOp):
-                    locals_[op.into] = ws.alloc(None)
-                elif isinstance(op, ReleaseOp):
-                    ep.release_set(ws, op.partners)
-                elif isinstance(op, AcquireOp):
-                    ep.acquire_set(ws, op.partners)
-        except BaseException as err:  # noqa: BLE001 - collected for the verdict
-            with lock:
-                errors[tid] = err
-        finally:
-            registry.mark_done(tid)
-
-    threads = [
-        threading.Thread(target=runner, args=(t,), name=f"determ-sim-{t}")
-        for t in range(program.nthreads)
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=_RUN_JOIN_TIMEOUT)
-        if th.is_alive():  # pragma: no cover - runtime bug guard
-            raise RuntimeError(f"{th.name} failed to settle")
-    registry.audit()
-
+    errors = rt.errors
     races = {
         t: e.conflicts for t, e in errors.items() if isinstance(e, DataRaceError)
     }
@@ -720,13 +696,13 @@ def run_on_runtime(
         for t, e in errors.items()
         if not isinstance(e, (DataRaceError, PairingError, DeadlockError))
     }
-    view = {addr: cell.value for addr, cell in workspaces[0].cells.items()}
+    view = {addr: cell.value for addr, cell in root.ws.cells.items()}
     return derive_outcome(
         view,
         races,
-        registry.violations(),
-        registry.doomed(),
-        rev,
+        rt.registry.violations(),
+        rt.registry.doomed(),
+        _reverse_names(program),
         crashes,
     )
 

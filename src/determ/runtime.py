@@ -321,13 +321,7 @@ class Runtime:
         # Stamps minted by reduction folds; a reduction variable may only
         # change underneath a team through one of these.
         self._fold_stamps: set = set()
-        self.registry.register(0)
-        self._root = ThreadCtx(
-            self,
-            tid=0,
-            ws=Workspace(0, self._globals, names=self.names),
-            ep=self._endpoint(0),
-        )
+        self._root = self._peer(0, seeded=True)
         self._finished = False
 
     # -- plumbing ------------------------------------------------------
@@ -354,8 +348,42 @@ class Runtime:
         with self._lock:
             self.errors[tid] = err
 
-    def _start(self, target: Callable[[], None], name: str) -> None:
-        t = threading.Thread(target=target, name=name, daemon=True)
+    def _peer(
+        self,
+        tid: int,
+        seeded: bool = False,
+        team: Team | None = None,
+        rank: int | None = None,
+    ) -> "ThreadCtx":
+        """Register ``tid`` and build its context over an empty workspace,
+        or over one holding the globals when ``seeded``.
+
+        Register every peer of a group before launching any of them: the
+        doom analysis counts a thread blocked on an unregistered partner
+        as doomed.
+        """
+        self.registry.register(tid)
+        ws = Workspace(tid, self._globals, names=self.names) if seeded else Workspace(tid)
+        return ThreadCtx(self, tid, ws, self._endpoint(tid), team, rank)
+
+    def _run(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
+        """Run ``main(ctx)`` to its end on the calling thread.
+
+        An error is recorded strictly before the thread is marked done, so
+        whoever waits for done can read it.
+        """
+        try:
+            main(ctx)
+        except BaseException as err:  # noqa: BLE001 - collected, not dropped
+            self._record_error(ctx.tid, err)
+        finally:
+            self.registry.mark_done(ctx.tid)
+
+    def _launch(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
+        """Run ``main(ctx)`` on a new OS thread; `finish` waits it out."""
+        t = threading.Thread(
+            target=self._run, args=(ctx, main), name=f"determ-{ctx.tid}", daemon=True
+        )
         with self._lock:
             self._threads.append(t)
         t.start()
@@ -409,7 +437,6 @@ class ThreadCtx:
         ep: Endpoint,
         team: Team | None = None,
         rank: int | None = None,
-        counters: dict[int, int] | None = None,
     ) -> None:
         self.rt = rt
         self.tid = tid
@@ -417,7 +444,8 @@ class ThreadCtx:
         self.ep = ep
         self.team = team
         self.rank = rank if rank is not None else -1
-        self._counters = counters or {}
+        # Every member's first sync event is its birth acquire, seq 1.
+        self._counters = {r: 1 for r in range(team.size)} if team else {}
         self._acc_addrs: dict[str, Address] = {}
         self._hook = ep._hook
 
@@ -466,42 +494,23 @@ class ThreadCtx:
             self.addr(spec.var)  # must be a known global
         tids = self.rt._claim_tids(len(bodies))
         team = Team(members=tids, parent=self.tid, reductions=specs)
-        for tid in tids:
-            self.rt.registry.register(tid)
+        members = [
+            self.rt._peer(tid, team=team, rank=rank) for rank, tid in enumerate(tids)
+        ]
         fork_label = SyncLabel(self.tid, self.ep.next_seq())
-        children = []
-        for rank, (tid, body) in enumerate(zip(tids, bodies)):
-            ctx = ThreadCtx(
-                self.rt,
-                tid=tid,
-                ws=Workspace(tid),
-                ep=self.rt._endpoint(tid),
-                team=team,
-                rank=rank,
-                counters={r: 1 for r in range(len(tids))},
-            )
-            children.append((ctx, body))
         # Deposit birth diffs before the children start looking for them.
         self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
-        for ctx, body in children:
-            self.rt._start(
-                lambda c=ctx, b=body: c._member_main(b, fork_label),
-                name=f"determ-{ctx.tid}",
-            )
+        for ctx, body in zip(members, bodies):
+            self.rt._launch(ctx, lambda c, b=body: c._member_main(b, fork_label))
         return team
 
     def _member_main(
         self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel
     ) -> None:
-        try:
-            self.ep.acquire(self.ws, birth)
-            self._setup_accumulators()
-            body(self)
-            self.ep.release_terminal(self.ws)
-        except BaseException as err:  # noqa: BLE001 - collected, not dropped
-            self.rt._record_error(self.tid, err)
-        finally:
-            self.rt.registry.mark_done(self.tid)
+        self.ep.acquire(self.ws, birth)
+        self._setup_accumulators()
+        body(self)
+        self.ep.release_terminal(self.ws)
 
     def join(self, team: Team) -> None:
         if self.tid != team.parent:
@@ -721,7 +730,7 @@ class ThreadCtx:
 
     def spawn_task(self, body: Callable[["ThreadCtx"], Any]) -> TaskHandle:
         (tid,) = self.rt._claim_tids(1)
-        self.rt.registry.register(tid)
+        ctx = self.rt._peer(tid)
         spawn_label = SyncLabel(self.tid, self.ep.next_seq())
         handle = TaskHandle(
             tid=tid,
@@ -729,30 +738,18 @@ class ThreadCtx:
             completion=SyncLabel(tid, TERMINAL_SEQ),
             result=Address(tid, 1),
         )
-        ctx = ThreadCtx(
-            self.rt, tid=tid, ws=Workspace(tid), ep=self.rt._endpoint(tid)
-        )
         with self.rt._lock:
             self.rt._spawned_by[tid] = self.tid
         self.ep.release(self.ws, SyncLabel(tid, 1))
-        self.rt._start(
-            lambda: self._task_main(ctx, body, spawn_label), name=f"determ-task-{tid}"
-        )
+        self.rt._launch(ctx, lambda c: c._task_main(body, spawn_label))
         return handle
 
-    def _task_main(
-        self, ctx: "ThreadCtx", body: Callable[["ThreadCtx"], Any], birth: SyncLabel
-    ) -> None:
-        try:
-            ctx.ep.acquire(ctx.ws, birth)
-            result_addr = ctx.ws.alloc(None)
-            assert result_addr == Address(ctx.tid, 1)
-            ctx.ws.write(result_addr, body(ctx))
-            ctx.ep.release_terminal(ctx.ws)
-        except BaseException as err:  # noqa: BLE001
-            self.rt._record_error(ctx.tid, err)
-        finally:
-            self.rt.registry.mark_done(ctx.tid)
+    def _task_main(self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel) -> None:
+        self.ep.acquire(self.ws, birth)
+        result_addr = self.ws.alloc(None)
+        assert result_addr == Address(self.tid, 1)
+        self.ws.write(result_addr, body(self))
+        self.ep.release_terminal(self.ws)
 
     def taskwait(self, handle: TaskHandle) -> Any:
         """Claim the task's terminal release; returns the body's value."""

@@ -94,23 +94,12 @@ class ChannelRegistry:
             self._recompute_doom()
             self._cond.notify_all()
 
-    def wait_settled(self, tids: Iterable[int], timeout: float | None = None) -> bool:
-        """Block until every tid is done or doomed; True if that happened."""
-        wanted = tuple(tids)
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: all(
-                    t in self._done or t in self._doomed for t in wanted
-                ),
-                timeout=timeout,
-            )
-
     def wait_unwound(self, tids: Iterable[int], timeout: float | None = None) -> bool:
         """Block until every tid is done; True if that happened.
 
-        Stricter than `wait_settled`: a doomed thread is still unwinding
-        and may not have recorded its error yet, so anyone about to read
-        per-thread errors must wait for done, not merely doomed.
+        Waiting for doomed is not enough: a doomed thread is still
+        unwinding and may not have recorded its error yet, so anyone about
+        to read per-thread errors must wait for done.
         """
         wanted = tuple(tids)
         with self._cond:
@@ -128,6 +117,11 @@ class ChannelRegistry:
         The complete target list lands atomically, because the pairing
         checks depend on the event's whole aim: a blocked acquire naming
         this release is fine as long as its label is among the targets.
+
+        A release that disagrees with a *blocked* acquire still deposits;
+        the acquire faults when it wakes, just as it would had it arrived
+        after the deposit. Only an acquire that already completed faults
+        the releaser.
         """
         targets = tuple(targets)
         with self._cond:
@@ -144,15 +138,15 @@ class ChannelRegistry:
             # the target list means the two sides disagree on the pairing.
             for tid, (acq, named) in self._waiting.items():
                 if rel in named and acq not in targets:
-                    err = self._record("release", rel, targets + (acq,))
-                    self._wait_violation[tid] = err
-                    raise err
+                    self._fault_waiter(tid, "release", rel, targets + (acq,))
             for target in targets:
                 claimed = self._claims.get(target)
                 if claimed is not None and rel not in claimed:
-                    raise self._record(
-                        "acquire", target, tuple(claimed) + (rel,)
-                    )
+                    claimants = tuple(claimed) + (rel,)
+                    waiting = self._waiting.get(target.thread)
+                    if waiting is None or waiting[0] != target:
+                        raise self._record("acquire", target, claimants)
+                    self._fault_waiter(target.thread, "acquire", target, claimants)
                 self._targeted.setdefault(target, {})[rel] = diff
             self._cond.notify_all()
 
@@ -168,7 +162,8 @@ class ChannelRegistry:
         self, acq: SyncLabel, rels: Sequence[SyncLabel], tid: int
     ) -> dict[SyncLabel, Diff]:
         """Drain all named channels for one acquire event; blocks until
-        every one is filled. Returns {release label: diff}."""
+        every one is filled. Returns {release label: diff}. ``tid`` is
+        ``acq.thread``, the thread that blocks."""
         named = frozenset(rels)
         with self._cond:
             assert acq not in self._claims, "acquire labels never repeat"
@@ -252,6 +247,14 @@ class ChannelRegistry:
         self._violations.append(err)
         self._cond.notify_all()
         return err
+
+    def _fault_waiter(
+        self, tid: int, kind: str, contested: Any, claimants: tuple
+    ) -> None:
+        """Record a violation for blocked ``tid`` to raise when it wakes;
+        a waiter already holding one faults on that one alone."""
+        if tid not in self._wait_violation:
+            self._wait_violation[tid] = self._record(kind, contested, claimants)
 
     def _claimed_elsewhere(
         self, acq: SyncLabel, rels: Iterable[SyncLabel]

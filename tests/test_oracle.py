@@ -363,10 +363,10 @@ def test_reduced_enumeration_matches_the_reference_and_the_runtime(text):
         reduced = enumerate_fn(program)
         assert reduced.outcomes == _unreduced(enumerate_fn, program).outcomes
     # (b) a unique DC outcome is what the real stack produces. Mis-paired
-    # scripts are left out: a release that meets a blocked acquire's
-    # mismatched claim faults the releaser on the runtime but the acquirer
-    # in the model, which changes the violation set and, when the release
-    # also fed a racing acquire, turns RACE into PAIRING.
+    # scripts are left out: the runtime dooms a thread stuck in a wait
+    # cycle before a later mis-paired release reaches it, while the model
+    # still lets that release fault the thread, so the runtime can report
+    # fewer pairing violations.
     dc = enumerate_dc(program)
     if dc.unique and _consistently_paired(program):
         for seed in range(2):
@@ -404,6 +404,53 @@ def test_check_report_flags_disagreement():
     assert not CheckReport(
         dc=EnumerationResult(one, 3), trial_outcomes=two, **base
     ).deterministic
+
+
+# Mis-paired scripts whose release meets a blocked acquire that disagrees
+# with it: the release deposits and the acquire faults when it wakes, as
+# in the model, whichever side arrives first.
+_BLOCKED_MISPAIRING = {
+    "aimed_past_a_blocked_acquire": (
+        "GLOBAL g0 0\nGLOBAL g1 3\n"
+        "THREAD 0\nACQ 1 3\n"
+        "THREAD 1\nREL 0 1\nREL 0 3\nALLOC p0\n"
+        "THREAD 2\nACQ 1 2\nREL 0 1\nWRITE g1 4\n",
+        "PAIRING acquire pairing violation at (0,1): (1,1), (1,3); "
+        "release pairing violation at (1,2): (0,3), (2,1)",
+    ),
+    "release_also_feeds_a_race": (
+        "GLOBAL g0 0\nGLOBAL g1 3\n"
+        "THREAD 0\nACQ 2 1\nALLOC p2\n"
+        "THREAD 1\nWRITE g1 0\nACQ 2 1\n"
+        "THREAD 2\nWRITE g1 0\nREL 1 1\n",
+        "RACE g1:1.1/2.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED_MISPAIRING))
+def test_blocked_mispairing_matches_the_enumerated_outcome(name):
+    text, expected = _BLOCKED_MISPAIRING[name]
+    program = parse_script(text)
+    assert [o.text for o in enumerate_dc(program).outcomes] == [expected]
+    for delay in (0, 0.0005):
+        for seed in range(20):
+            outcome = run_on_runtime(program, seed=seed, delay=delay)
+            assert outcome.text == expected, f"seed {seed}, delay {delay}"
+
+
+def test_every_script_thread_is_registered_before_any_runs():
+    # Thread 0 waits on thread 1, which waits on thread 2. Were thread 1
+    # not yet registered when thread 0 blocked, thread 0 would be doomed.
+    program = parse_script(
+        "GLOBAL x 0\n"
+        "THREAD 0\nACQ 1 2\n"
+        "THREAD 1\nACQ 2 1\nREL 0 1\n"
+        "THREAD 2\nWRITE x 5\nREL 1 1\n"
+    )
+    assert [o.text for o in enumerate_dc(program).outcomes] == ["STATE x=5"]
+    for seed in range(20):
+        assert run_on_runtime(program, seed=seed, delay=0).text == "STATE x=5"
 
 
 # ----------------------------------------------------------------------

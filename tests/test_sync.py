@@ -48,6 +48,14 @@ def run_async(fn):
     return result
 
 
+def wait_blocked(reg, count=1):
+    """Poll until ``count`` claims are blocked in ``reg``."""
+    deadline = time.monotonic() + 10.0
+    while len(reg._waiting) < count:
+        assert time.monotonic() < deadline, "claimers never blocked"
+        time.sleep(0.001)
+
+
 # ----------------------------------------------------------------------
 # registry: plain transfer
 # ----------------------------------------------------------------------
@@ -177,10 +185,7 @@ def test_terminal_double_claim_payload_ignores_arrival_order():
         tid: run_async(lambda a=acq, t=tid: late.claim(a, [lab(5, 0)], tid=t))
         for tid, acq in ((1, first), (2, second))
     }
-    deadline = time.monotonic() + 10.0
-    while len(late._waiting) < 2:
-        assert time.monotonic() < deadline, "claimers never blocked"
-        time.sleep(0.001)
+    wait_blocked(late, 2)
     late.deposit_terminal(lab(5, 0), diff)
     served, raised = [], []
     for result in results.values():
@@ -205,10 +210,7 @@ def test_loser_of_a_terminal_claim_is_not_doomed():
     for tid in (1, 2, 5):
         reg.register(tid)
     loser = run_async(lambda: reg.claim(lab(2, 1), [lab(5, 0)], tid=2))
-    deadline = time.monotonic() + 10.0
-    while not reg._waiting:
-        assert time.monotonic() < deadline, "claimer never blocked"
-        time.sleep(0.001)
+    wait_blocked(reg)
     with reg._cond:  # the loser cannot wake until all three steps are done
         reg.deposit_terminal(lab(5, 0), empty_diff())
         reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
@@ -232,19 +234,51 @@ def test_claimed_terminal_diff_is_dropped():
         reg.deposit_terminal(lab(5, 0), empty_diff())
 
 
-def test_blocked_waiter_and_depositor_raise_identically():
+def test_blocked_waiter_faults_for_a_release_aimed_elsewhere():
+    # The release still deposits and the releaser returns; the blocked
+    # acquire raises what it would raise arriving after the deposit.
     reg = ChannelRegistry()
     reg.register(1)
     reg.register(3)
     result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)], tid=3))
-    with pytest.raises(PairingError) as at_depositor:
-        reg.deposit(lab(1, 1), [lab(2, 9)], empty_diff())
+    wait_blocked(reg)
+    diff = empty_diff()
+    reg.deposit(lab(1, 1), [lab(2, 9)], diff)
     with pytest.raises(PairingError) as at_waiter:
         result()
-    assert str(at_depositor.value) == str(at_waiter.value)
     assert at_waiter.value.kind == "release"
     assert at_waiter.value.contested == lab(1, 1)
     assert at_waiter.value.claimants == (lab(2, 9), lab(3, 5))
+    assert [_payload(v) for v in reg.violations()] == [_payload(at_waiter.value)]
+    assert reg.claim(lab(2, 9), [lab(1, 1)], tid=2) == {lab(1, 1): diff}
+
+    late = ChannelRegistry()
+    late.deposit(lab(1, 1), [lab(2, 9)], empty_diff())
+    with pytest.raises(PairingError) as on_arrival:
+        late.claim(lab(3, 5), [lab(1, 1)], tid=3)
+    assert _payload(on_arrival.value) == _payload(at_waiter.value)
+
+
+def test_release_into_a_blocked_claim_that_omits_it_faults_the_waiter():
+    # Only an acquire that already completed faults the releaser.
+    reg = ChannelRegistry()
+    for tid in (1, 2, 3):
+        reg.register(tid)
+    result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)], tid=3))
+    wait_blocked(reg)
+    reg.deposit(lab(2, 1), [lab(3, 5)], empty_diff())
+    with pytest.raises(PairingError) as at_waiter:
+        result()
+    assert at_waiter.value.kind == "acquire"
+    assert at_waiter.value.contested == lab(3, 5)
+    assert at_waiter.value.claimants == (lab(1, 1), lab(2, 1))
+
+    done = ChannelRegistry()
+    done.deposit(lab(1, 1), [lab(3, 5)], empty_diff())
+    done.claim(lab(3, 5), [lab(1, 1)], tid=3)
+    with pytest.raises(PairingError) as at_releaser:
+        done.deposit(lab(2, 1), [lab(3, 5)], empty_diff())
+    assert _payload(at_releaser.value) == _payload(at_waiter.value)
 
 
 def test_broadcast_deposit_satisfies_waiter_among_targets():
@@ -347,13 +381,17 @@ def test_chain_behind_a_live_thread_is_not_doomed():
     assert reg.doomed() == ()
 
 
-def test_wait_settled_reports_done_and_doomed():
+def test_doomed_and_unwound_threads_are_reported():
     reg = ChannelRegistry()
     reg.register(1)
     reg.register(2)
     reg.mark_done(2)
-    run_async(lambda: reg.claim(lab(1, 1), [lab(2, 9)], tid=1))
-    assert reg.wait_settled([1, 2], timeout=10.0)
+    result = run_async(lambda: reg.claim(lab(1, 1), [lab(2, 9)], tid=1))
+    with pytest.raises(DeadlockError):
+        result()
+    assert reg.doomed() == (1,)
+    assert reg.wait_unwound([2], timeout=10.0)
+    assert not reg.wait_unwound([1], timeout=0.01)  # doomed, never done
 
 
 def test_wait_unwound_outlasts_doom():
@@ -363,11 +401,13 @@ def test_wait_unwound_outlasts_doom():
     reg.register(1)
     reg.register(2)
     gate = threading.Event()
+    caught = {1: threading.Event(), 2: threading.Event()}
 
     def stuck(tid, other):
         try:
             reg.claim(lab(tid, 1), [lab(other, 1)], tid=tid)
         except DeadlockError:
+            caught[tid].set()
             gate.wait(10.0)
         finally:
             reg.mark_done(tid)
@@ -378,8 +418,10 @@ def test_wait_unwound_outlasts_doom():
     ]
     for worker in workers:
         worker.start()
-    assert reg.wait_settled([1, 2], timeout=10.0)  # doomed counts as settled
-    assert not reg.wait_unwound([1, 2], timeout=0.1)  # but not as unwound
+    for event in caught.values():
+        assert event.wait(10.0)
+    assert reg.doomed() == (1, 2)
+    assert not reg.wait_unwound([1, 2], timeout=0.1)  # doomed, not unwound
     gate.set()
     assert reg.wait_unwound([1, 2], timeout=10.0)
     for worker in workers:
