@@ -315,9 +315,10 @@ class Runtime:
         self._delay = delay
         self._trace_lines: list[str] | None = [] if trace else None
         self.errors: dict[int, BaseException] = {}
+        # OS threads that may still be running; finished ones are pruned.
         self._threads: list[threading.Thread] = []
+        # Spawned tasks not yet waited for: task tid -> spawning tid.
         self._spawned_by: dict[int, int] = {}
-        self._waited: set[int] = set()
         # Stamps minted by reduction folds; a reduction variable may only
         # change underneath a team through one of these.
         self._fold_stamps: set = set()
@@ -380,13 +381,18 @@ class Runtime:
             self.registry.mark_done(ctx.tid)
 
     def _launch(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
-        """Run ``main(ctx)`` on a new OS thread; `finish` waits it out."""
+        """Run ``main(ctx)`` on a new OS thread; `finish` waits it out.
+
+        The thread is listed only once started, so pruning the threads
+        that are not alive never drops one about to run.
+        """
         t = threading.Thread(
             target=self._run, args=(ctx, main), name=f"determ-{ctx.tid}", daemon=True
         )
-        with self._lock:
-            self._threads.append(t)
         t.start()
+        with self._lock:
+            self._threads = [old for old in self._threads if old.is_alive()]
+            self._threads.append(t)
 
     # -- public surface -------------------------------------------------
 
@@ -525,11 +531,10 @@ class ThreadCtx:
             if err is not None:
                 raise err from None
             raise
-        pending = sorted(
-            t
-            for t, spawner in self.rt._spawned_by.items()
-            if spawner in team.members and t not in self.rt._waited
-        )
+        with self.rt._lock:
+            pending = sorted(
+                t for t, spawner in self.rt._spawned_by.items() if spawner in team.members
+            )
         if pending:
             raise ConfigError(f"tasks {pending} were never waited before team join")
         self._fold_partials(team, pre_stamps)
@@ -762,5 +767,5 @@ class ThreadCtx:
                 raise err from None
             raise
         with self.rt._lock:
-            self.rt._waited.add(handle.tid)
+            self.rt._spawned_by.pop(handle.tid, None)
         return self.ws.read(handle.result)

@@ -751,6 +751,29 @@ def test_member_tasks_must_be_waited_before_join():
     rt.finish()
 
 
+def test_waited_tasks_leave_no_bookkeeping():
+    rt = Runtime()
+    root = rt.root()
+    for k in range(200):
+        handle = root.spawn_task(lambda ctx, k=k: k)
+        assert root.taskwait(handle) == k
+    assert rt._spawned_by == {}
+    rt.finish()
+
+
+def test_finished_threads_are_not_retained():
+    rt = Runtime()
+    root = rt.root()
+    for k in range(200):
+        handle = root.spawn_task(lambda ctx, k=k: k)
+        thread = rt._threads[-1]
+        assert root.taskwait(handle) == k
+        thread.join()
+    # Each launch dropped every finished thread: only the last is left.
+    assert rt._threads == [thread]
+    rt.finish()
+
+
 def test_task_allocations_travel_with_the_result():
     rt = Runtime()
 

@@ -383,6 +383,117 @@ def test_invariants_hold_after_ordinary_use():
 
 
 # ----------------------------------------------------------------------
+# the per-writer index
+# ----------------------------------------------------------------------
+
+
+def _index_of(writes):
+    """The per-writer index a diff's full cell map implies."""
+    index = {}
+    for addr, cell in writes.items():
+        if cell.stamp != INITIAL:
+            index.setdefault(cell.stamp.writer, set()).add(addr)
+    return index
+
+
+class _Counted(dict):
+    """A cell map that counts single lookups and refuses to be walked."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def items(self):
+        raise AssertionError("the whole cell map was walked")
+
+    __iter__ = keys = values = items
+
+    def plain(self):
+        return dict(dict.items(self))
+
+
+def test_acquire_visits_only_the_cells_it_lacks():
+    # Of 1000 shipped cells the receiver lacks k2: writer 3's newest.
+    names = {f"g{i:04d}": 0 for i in range(1000)}
+    table = global_addresses(names)
+    addrs = list(table.values())
+    a, b, c = (Workspace(t, names, names=table) for t in (1, 2, 3))
+    for addr in addrs:
+        a.write(addr, 1)
+    b.apply_diff(a.extract_diff())
+    c.apply_diff(a.extract_diff())
+    k1, k2 = 5, 7
+    for addr in addrs[:k1]:
+        c.write(addr, 2)
+    b.apply_diff(c.extract_diff())  # b knows writer 3's first k1 writes
+    for addr in addrs[k1 : k1 + k2]:
+        c.write(addr, 3)
+    a.apply_diff(c.extract_diff())
+    diff = a.extract_diff()
+    shipped = Diff(diff.sender_knowledge, _Counted(diff.writes), diff.index, diff.table)
+    b.cells = _Counted(b.cells)
+    b.apply_diff(shipped)
+    assert shipped.writes.lookups == k1 + k2  # writer 3's bucket alone
+    assert b.cells.lookups == k2  # and in it only what b lacks
+    b.cells = b.cells.plain()
+    assert b.state_bytes() == a.state_bytes()
+    b.check_invariants()
+
+
+def test_receiver_without_the_globals_adopts_them():
+    # A non-empty receiver built without the sender's globals must still
+    # learn every initial cell, and pass them on.
+    init = {"x": 0, "y": 5}
+    table = global_addresses(init)
+    sender = Workspace(1, init)
+    sender.write(table["x"], 7)
+    receiver, third = Workspace(2), Workspace(3)
+    own = receiver.alloc("mine")
+    third.alloc("theirs")
+    receiver.apply_diff(sender.extract_diff())
+    assert receiver.read(table["y"]) == 5 and receiver.read(table["x"]) == 7
+    assert receiver.read(own) == "mine"
+    receiver.check_invariants()
+    third.apply_diff(receiver.extract_diff())
+    assert third.read(table["y"]) == 5 and third.read(own) == "mine"
+    third.check_invariants()
+
+
+def test_initial_cells_from_two_tables_travel_on():
+    # s and r share table {x}; s then merges the initial cell z of
+    # another table, and r must get z from s.
+    s, r = Workspace(1, {"x": 0}), Workspace(2, {"x": 0})
+    z_table = {"a": 0, "z": 9}
+    z = global_addresses(z_table)["z"]
+    s.apply_diff(Workspace(3, z_table).extract_diff())
+    assert s.read(z) == 9
+    r.apply_diff(s.extract_diff())
+    assert r.read(z) == 9
+    s.check_invariants()
+    r.check_invariants()
+
+
+def test_diff_index_is_never_changed_after_release():
+    a, b, table = _pair({"x": 0, "y": 0})
+    a.write(table["x"], 1)
+    b.apply_diff(a.extract_diff())
+    first = a.extract_diff()
+    b.write(table["x"], 2)  # moves x from writer 1 to writer 2 in b
+    a.apply_diff(b.extract_diff())  # and in a
+    a.write(table["y"], 3)
+    a.alloc(4)
+    assert first.index == _index_of(first.writes) == {1: {table["x"]}}
+    a.check_invariants()
+    b.check_invariants()
+
+
+# ----------------------------------------------------------------------
 # agreement with an explicit event-set model
 # ----------------------------------------------------------------------
 
@@ -454,8 +565,11 @@ def test_event_set_model_agrees_on_random_histories():
     # Some workspaces start empty, so their first acquire adopts a whole
     # diff, and writes land on any cell a workspace holds, including
     # cells other owners allocated, so dicts hold cells out of address
-    # order.
-    empty_adopts = foreign_writes = 0
+    # order. Some start with no globals but allocate, so they learn the
+    # globals' initial cells from a diff of a different table. Every
+    # step checks the invariants, the per-writer index among them, and
+    # every diff's index must still match its cells at the end.
+    empty_adopts = foreign_writes = table_adopts = 0
     for seed in range(50):
         rng = random.Random(seed)
         init = {"x": 0, "y": 0}
@@ -464,6 +578,7 @@ def test_event_set_model_agrees_on_random_histories():
         real = {t: Workspace(t, starts[t]) for t in owners}
         mini = {t: SetWorkspace(t, starts[t]) for t in owners}
         minted = []
+        diffs = []
         for _ in range(40):
             t = rng.choice(owners)
             action = rng.random()
@@ -473,15 +588,22 @@ def test_event_set_model_agrees_on_random_histories():
                 value = rng.randrange(100)
                 minted.append(real[t].write(addr, value))
                 mini[t].write(addr, value)
+                real[t].check_invariants()
             elif action < 0.6:
                 value = rng.randrange(100)
                 addr = real[t].alloc(value)
                 assert mini[t].alloc(value) == addr
                 minted.append(real[t].cells[addr].stamp)
+                real[t].check_invariants()
             else:
                 target = rng.choice([o for o in owners if o != t])
                 empty_adopts += not real[target].cells
                 diff = real[t].extract_diff()
+                diffs.append(diff)
+                x = global_addresses(init)["x"]
+                table_adopts += bool(
+                    real[target].cells and x in diff.writes and x not in real[target].cells
+                )
                 snapshot = mini[t].extract()
                 try:
                     real[target].apply_diff(diff)
@@ -494,6 +616,9 @@ def test_event_set_model_agrees_on_random_histories():
                     real_pairs = None
                 mini_conflicts = mini[target].apply(snapshot)
                 assert real_pairs == mini_conflicts, f"seed {seed}"
+                real[target].check_invariants()
+        for diff in diffs:
+            assert diff.index == _index_of(diff.writes), f"seed {seed}"
         for t in owners:
             real[t].check_invariants()
             # Identical final cells, stamp and value alike.
@@ -504,4 +629,4 @@ def test_event_set_model_agrees_on_random_histories():
             # write event the history minted.
             for stamp in minted:
                 assert covers(real[t].knowledge, stamp) == mini[t].seen(stamp)
-    assert empty_adopts > 0 and foreign_writes > 0
+    assert empty_adopts > 0 and foreign_writes > 0 and table_adopts > 0
