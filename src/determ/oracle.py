@@ -33,6 +33,17 @@ outcome set is exact and only the count of states shrinks. What is left
 to interleave is what can interact: sync events under the paired-channel
 model, memory operations under the shared store.
 
+A state costs what its step changed. A clone shares its parent's
+per-thread parts: a paired-channel thread (pc, status, locals, store,
+observed set), or a shared-store thread's locals. The first change to
+such a part after a clone copies it, whichever step makes it, and from
+then on the clone alone owns it; the parent gives up ownership at the
+clone, so neither can change what the other sees. Each part caches its
+share of the dedup key, and a paired-channel thread also its release
+snapshot; a copy starts with empty caches and an owned part clears them
+before every change. The ops are decoded once per enumeration, with the
+labels, stamps and addresses they mint.
+
 :func:`run_on_runtime` executes the program on :class:`Runtime`, the
 same executor library programs run on, under a seeded schedule
 perturbation, and :func:`check_program` cross-checks many such runs
@@ -201,29 +212,106 @@ def _check_limits(program: ScriptProgram) -> None:
 
 
 # ----------------------------------------------------------------------
-# paired-channel simulator (observed-event-set semantics)
+# programs decoded once per enumeration
 # ----------------------------------------------------------------------
+
+# Kinds of decoded operations; see _decode.
+_READ, _WRITE, _ALLOC, _REL, _ACQ = range(5)
 
 # Steps that touch only the running thread's own state in the
 # paired-channel model; the shared-store model interleaves exactly these.
-_PRIVATE_OPS = (ReadOp, WriteOp, AllocOp)
+_PRIVATE = (_READ, _WRITE, _ALLOC)
+
+# Decoded operations, indexed by thread, then by pc.
+_Plan = tuple[tuple[tuple, ...], ...]
+
+
+def _decode(program: ScriptProgram) -> _Plan:
+    """Every thread's ops as flat tuples, decoded once per enumeration.
+
+    What an op mints depends on its position alone: thread ``t``'s k-th
+    write or allocation is stamped ``VersionStamp(t, k)``, its k-th
+    allocation takes its k-th slot and its k-th sync event is labelled
+    ``SyncLabel(t, k)``. So stamps, addresses and labels are built here,
+    not on every state. The tuples are::
+
+        (_READ, global address or None, cell, into)
+        (_WRITE, global address or None, cell, expr, stamp)
+        (_ALLOC, address, into, stamp)
+        (_REL, label, partners, frozenset(partners))
+        (_ACQ, label, frozenset(partners), sorted(partners), waits)
+
+    A cell that is not a global is resolved through the thread's locals
+    when the op runs. ``waits`` serves the shared-store model: one
+    ``(u, pc)`` per partner ``(u, k)``, where ``pc`` is the first pc of
+    thread ``u`` past its k-th sync event (past its last op if it has
+    fewer).
+    """
+    table = global_addresses(name for name, _ in program.globals)
+    # per thread: the first pc past its k-th sync event, at index k
+    passed = [
+        [0] + [pc + 1 for pc, op in enumerate(ops) if isinstance(op, (ReleaseOp, AcquireOp))]
+        for ops in program.threads
+    ]
+
+    def past(label: SyncLabel) -> int:
+        syncs = passed[label.thread]
+        if label.seq < len(syncs):
+            return syncs[label.seq]
+        return len(program.threads[label.thread]) + 1
+
+    plan = []
+    for t, ops in enumerate(program.threads):
+        base = len(program.globals) if t == ROOT_THREAD else 0
+        nwrite = nalloc = nsync = 0
+        decoded: list[tuple] = []
+        for op in ops:
+            if isinstance(op, ReadOp):
+                decoded.append((_READ, table.get(op.cell), op.cell, op.into))
+            elif isinstance(op, WriteOp):
+                nwrite += 1
+                stamp = VersionStamp(t, nwrite)
+                decoded.append((_WRITE, table.get(op.cell), op.cell, op.expr, stamp))
+            elif isinstance(op, AllocOp):
+                nwrite += 1
+                nalloc += 1
+                stamp = VersionStamp(t, nwrite)
+                decoded.append((_ALLOC, Address(t, base + nalloc), op.into, stamp))
+            elif isinstance(op, ReleaseOp):
+                nsync += 1
+                partners = op.partners
+                decoded.append((_REL, SyncLabel(t, nsync), partners, frozenset(partners)))
+            elif isinstance(op, AcquireOp):
+                nsync += 1
+                partners = op.partners
+                waits = tuple((label.thread, past(label)) for label in partners)
+                decoded.append(
+                    (_ACQ, SyncLabel(t, nsync), frozenset(partners), tuple(sorted(partners)), waits)
+                )
+            else:  # pragma: no cover - parser emits no other ops
+                raise AssertionError(op)
+        plan.append(tuple(decoded))
+    return tuple(plan)
+
+
+# ----------------------------------------------------------------------
+# paired-channel simulator (observed-event-set semantics)
+# ----------------------------------------------------------------------
 
 # A release snapshot: (sorted (address, (event, value)) items, observed set)
 _Snap = tuple[tuple[tuple[Address, tuple[VersionStamp, Any]], ...], frozenset]
 
 
 class _SimThread:
-    __slots__ = (
-        "pc",
-        "status",
-        "locals",
-        "store",
-        "observed",
-        "wseq",
-        "nalloc",
-        "nsync",
-        "race",
-    )
+    """One thread of a paired-channel state.
+
+    Its write counter, allocation count and sync count are not kept: they
+    follow from ``pc`` and ``status`` (see :func:`_decode`). ``_snap``
+    and ``_key`` cache :meth:`snapshot` and :meth:`key`; only the owning
+    state changes a thread, and it clears both first.
+    """
+
+    __slots__ = ("pc", "status", "locals", "store", "observed", "race", "_snap", "_key")
 
     def __init__(self, nops: int, init_store: dict[Address, tuple[VersionStamp, Any]]):
         self.pc = 0
@@ -231,10 +319,9 @@ class _SimThread:
         self.locals: dict[str, Any] = {}
         self.store = init_store
         self.observed: set[VersionStamp] = set()
-        self.wseq = 0
-        self.nalloc = 0
-        self.nsync = 0
         self.race: tuple[Conflict, ...] = ()
+        self._snap: _Snap | None = None
+        self._key: tuple | None = None
 
     def clone(self) -> "_SimThread":
         c = _SimThread.__new__(_SimThread)
@@ -243,197 +330,200 @@ class _SimThread:
         c.locals = dict(self.locals)
         c.store = dict(self.store)
         c.observed = set(self.observed)
-        c.wseq = self.wseq
-        c.nalloc = self.nalloc
-        c.nsync = self.nsync
         c.race = self.race
+        c._snap = c._key = None
         return c
 
+    def snapshot(self) -> _Snap:
+        """What a release by this thread ships: its sorted store items and
+        its observed set."""
+        snap = self._snap
+        if snap is None:
+            snap = self._snap = (tuple(sorted(self.store.items())), frozenset(self.observed))
+        return snap
+
     def key(self) -> tuple:
-        return (
-            self.pc,
-            self.status,
-            tuple(sorted(self.locals.items())),
-            tuple(sorted(self.store.items())),
-            tuple(sorted(self.observed)),
-            self.wseq,
-            self.nalloc,
-            self.nsync,
-            self.race,
-        )
+        key = self._key
+        if key is None:
+            key = self._key = (
+                self.pc,
+                self.status,
+                tuple(sorted(self.locals.items())),
+                self.snapshot(),
+                self.race,
+            )
+        return key
 
     def seen(self, event: VersionStamp) -> bool:
         return event == INITIAL or event in self.observed
 
 
 class _DcState:
-    __slots__ = ("threads", "targeted", "rel_targets", "claims", "violations", "table")
+    """A paired-channel state. Its threads are shared with the state it
+    was cloned from until :meth:`_own` copies them; ``owned`` has bit
+    ``t`` set once thread ``t`` belongs to this state alone."""
 
-    def __init__(self, program: ScriptProgram | None):
-        if program is None:
-            return
+    __slots__ = ("plan", "threads", "owned", "targeted", "rel_targets", "claims", "violations")
+
+    def __init__(self, program: ScriptProgram):
+        self.plan = _decode(program)
         table = global_addresses(name for name, _ in program.globals)
-        self.table = table
         seed = {
             table[name]: (INITIAL, value) for name, value in program.globals
         }
         self.threads = [
             _SimThread(len(ops), dict(seed)) for ops in program.threads
         ]
-        # acquire label -> {release label -> snapshot}
+        self.owned = (1 << len(self.threads)) - 1
+        # acquire label -> {release label -> snapshot}; the inner maps are
+        # replaced, never changed, so clones share them
         self.targeted: dict[SyncLabel, dict[SyncLabel, _Snap]] = {}
         # release label -> every acquire label it was aimed at
-        self.rel_targets: dict[SyncLabel, set[SyncLabel]] = {}
+        self.rel_targets: dict[SyncLabel, frozenset[SyncLabel]] = {}
         # executed acquires -> the release labels they named
-        self.claims: dict[SyncLabel, frozenset] = {}
+        self.claims: dict[SyncLabel, frozenset[SyncLabel]] = {}
         self.violations: tuple[str, ...] = ()
 
     def clone(self) -> "_DcState":
-        c = _DcState(None)
-        c.threads = [t.clone() for t in self.threads]
-        c.targeted = {acq: dict(rels) for acq, rels in self.targeted.items()}
-        c.rel_targets = {rel: set(ts) for rel, ts in self.rel_targets.items()}
+        c = _DcState.__new__(_DcState)
+        c.plan = self.plan
+        c.threads = list(self.threads)
+        c.owned = self.owned = 0  # every thread is shared from now on
+        c.targeted = dict(self.targeted)
+        c.rel_targets = dict(self.rel_targets)
         c.claims = dict(self.claims)
         c.violations = self.violations
-        c.table = self.table
         return c
+
+    def _own(self, t: int) -> _SimThread:
+        """Thread ``t``, ready to be changed in place: copied on its first
+        change since the last clone, its cached keys cleared."""
+        th = self.threads[t]
+        if self.owned >> t & 1:
+            th._snap = th._key = None
+        else:
+            th = self.threads[t] = th.clone()
+            self.owned |= 1 << t
+        return th
 
     def key(self) -> tuple:
         return (
-            tuple(t.key() for t in self.threads),
-            tuple(
+            tuple([th.key() for th in self.threads]),
+            tuple([
                 (acq, tuple(sorted(rels.items())))
                 for acq, rels in sorted(self.targeted.items())
-            ),
-            tuple(
-                (rel, tuple(sorted(ts)))
-                for rel, ts in sorted(self.rel_targets.items())
-            ),
+            ]),
+            tuple(sorted(self.rel_targets.items())),
             tuple(sorted(self.claims.items())),
             tuple(sorted(self.violations)),
         )
 
     # -- scheduling ------------------------------------------------------
 
-    def runnable(self, program: ScriptProgram) -> list[int]:
+    def runnable(self) -> list[int]:
         out = []
         for t, th in enumerate(self.threads):
             if th.status != "run":
                 continue
-            op = program.threads[t][th.pc]
-            if isinstance(op, AcquireOp) and self._acq_mode(t, op) == "blocked":
+            op = self.plan[t][th.pc]
+            if op[0] == _ACQ and self._acq_mode(op) == "blocked":
                 continue
             out.append(t)
         return out
 
-    def _acq_mode(self, t: int, op: AcquireOp) -> str:
+    def _acq_mode(self, op: tuple) -> str:
         """ready: all named releases deposited; error: the event would
         fault on a pairing check the moment it runs; blocked: otherwise."""
-        th = self.threads[t]
-        acq = SyncLabel(t, th.nsync + 1)
-        named = frozenset(op.partners)
+        _, acq, named, ordered, _ = op
         pending = self.targeted.get(acq, {})
-        if set(pending) - named:
+        if not pending.keys() <= named:
             return "error"
-        for rel in sorted(named):
+        for rel in ordered:
             aimed = self.rel_targets.get(rel)
             if aimed and acq not in aimed:
                 return "error"
-        if all(rel in pending for rel in named):
+        if len(pending) == len(named):
             return "ready"
         return "blocked"
 
     # -- transition -------------------------------------------------------
 
-    def settle(self, program: ScriptProgram) -> None:
+    def settle(self) -> None:
         """Run every thread's leading READ/WRITE/ALLOC ops in place.
 
-        They read and write only the thread's own store, locals, write
-        counter and observed set, which no other thread's step reads, and
-        nothing can disable them; so they commute with every other step.
+        They read and write only the thread's own store, locals and
+        observed set, which no other thread's step reads, and nothing can
+        disable them; so they commute with every other step.
         """
-        for t, th in enumerate(self.threads):
-            ops = program.threads[t]
-            while th.status == "run" and isinstance(ops[th.pc], _PRIVATE_OPS):
-                self.step(program, t)
+        for t, ops in enumerate(self.plan):
+            th = self.threads[t]
+            while th.status == "run" and ops[th.pc][0] in _PRIVATE:
+                self.step(t)
+                th = self.threads[t]  # step() copies a shared thread
 
-    def step(self, program: ScriptProgram, t: int) -> None:
+    def step(self, t: int) -> None:
         """Run thread ``t``'s next operation in place."""
-        th = self.threads[t]
-        op = program.threads[t][th.pc]
-        if isinstance(op, ReadOp):
-            th.locals[op.into] = th.store[self._resolve(t, op.cell)][1]
-        elif isinstance(op, WriteOp):
-            addr = self._resolve(t, op.cell)
-            th.wseq += 1
-            event = VersionStamp(t, th.wseq)
-            th.store[addr] = (event, eval_expr(op.expr, th.locals))
+        th = self._own(t)
+        ops = self.plan[t]
+        op = ops[th.pc]
+        kind = op[0]
+        if kind == _READ:
+            _, addr, cell, into = op
+            th.locals[into] = th.store[addr or th.locals[cell]][1]
+        elif kind == _WRITE:
+            _, addr, cell, expr, event = op
+            addr = addr or th.locals[cell]
+            th.store[addr] = (event, eval_expr(expr, th.locals))
             th.observed.add(event)
-        elif isinstance(op, AllocOp):
-            th.nalloc += 1
-            base = len(program.globals) if t == ROOT_THREAD else 0
-            addr = Address(t, base + th.nalloc)
-            th.wseq += 1
-            event = VersionStamp(t, th.wseq)
+        elif kind == _ALLOC:
+            _, addr, into, event = op
             th.store[addr] = (event, None)
             th.observed.add(event)
-            th.locals[op.into] = addr
-        elif isinstance(op, ReleaseOp):
-            self._release(t, op)
-        elif isinstance(op, AcquireOp):
-            self._acquire(t, op)
-        else:  # pragma: no cover - parser emits no other ops
-            raise AssertionError(op)
+            th.locals[into] = addr
+        elif kind == _REL:
+            self._release(t, th, op)
+        else:
+            self._acquire(t, th, op)
         if th.status == "run":
             th.pc += 1
-            if th.pc == len(program.threads[t]):
+            if th.pc == len(ops):
                 th.status = "done"
-
-    def _resolve(self, t: int, cell: str) -> Address:
-        if cell in self.table:
-            return self.table[cell]
-        return self.threads[t].locals[cell]
 
     def _fault(self, t: int, err: PairingError) -> None:
         self.violations = self.violations + (str(err),)
-        self.threads[t].status = "error"
+        self._own(t).status = "error"
 
-    def _release(self, t: int, op: ReleaseOp) -> None:
-        th = self.threads[t]
-        th.nsync += 1
-        rel = SyncLabel(t, th.nsync)
-        snap: _Snap = (tuple(sorted(th.store.items())), frozenset(th.observed))
-        self.rel_targets[rel] = set(op.partners)
-        for target in op.partners:
+    def _release(self, t: int, th: _SimThread, op: tuple) -> None:
+        _, rel, partners, aimed = op
+        snap = th.snapshot()
+        self.rel_targets[rel] = aimed
+        for target in partners:
             claimed = self.claims.get(target)
             if claimed is not None and rel not in claimed:
                 self._fault(
                     t, PairingError("acquire", target, tuple(claimed) + (rel,))
                 )
                 return
-            self.targeted.setdefault(target, {})[rel] = snap
+            pending = self.targeted.get(target)
+            self.targeted[target] = {**pending, rel: snap} if pending else {rel: snap}
 
-    def _acquire(self, t: int, op: AcquireOp) -> None:
-        th = self.threads[t]
-        th.nsync += 1
-        acq = SyncLabel(t, th.nsync)
-        named = frozenset(op.partners)
+    def _acquire(self, t: int, th: _SimThread, op: tuple) -> None:
+        _, acq, named, ordered, _ = op
         self.claims[acq] = named
         pending = self.targeted.get(acq, {})
-        extras = set(pending) - named
+        extras = pending.keys() - named
         if extras:
             self._fault(t, PairingError("acquire", acq, tuple(named | extras)))
             return
-        for rel in sorted(named):
+        for rel in ordered:
             aimed = self.rel_targets.get(rel)
             if aimed and acq not in aimed:
                 self._fault(t, PairingError("release", rel, tuple(aimed) + (acq,)))
                 return
-        snaps = {rel: pending.pop(rel) for rel in named}
-        if acq in self.targeted and not self.targeted[acq]:
-            del self.targeted[acq]
-        for rel in sorted(named):
-            conflicts = self._apply(th, snaps[rel])
+        snaps = [pending[rel] for rel in ordered]
+        self.targeted.pop(acq, None)
+        for snap in snaps:
+            conflicts = self._apply(th, snap)
             if conflicts:
                 th.race = conflicts
                 th.status = "error"
@@ -466,7 +556,7 @@ class _DcState:
 
     # -- terminal ----------------------------------------------------------
 
-    def outcome(self, program: ScriptProgram, rev: Mapping[Address, str]) -> Outcome:
+    def outcome(self, rev: Mapping[Address, str]) -> Outcome:
         violations = list(self.violations)
         for target, pending in self.targeted.items():
             if target not in self.claims and len(pending) > 1:
@@ -493,26 +583,26 @@ def _explore(
     """
     _check_limits(program)
     rev = _reverse_names(program)
-    init.settle(program)
+    init.settle()
     seen = {init.key()}
     stack = [init]
     outcomes: set[Outcome] = set()
     while stack:
         st = stack.pop()
-        frontier = st.runnable(program)
+        frontier = st.runnable()
         if not frontier:
-            outcomes.add(st.outcome(program, rev))
+            outcomes.add(st.outcome(rev))
             continue
         for t in frontier:
             nxt = st.clone()
-            nxt.step(program, t)
-            nxt.settle(program)
-            k = nxt.key()
-            if k in seen:
+            nxt.step(t)
+            nxt.settle()
+            known = len(seen)
+            seen.add(nxt.key())  # one hash of the key: a repeat leaves len as is
+            if len(seen) == known:
                 continue
-            if len(seen) >= max_states:
+            if known >= max_states:
                 raise LimitError(f"state budget exceeded ({max_states})")
-            seen.add(k)
             stack.append(nxt)
     return EnumerationResult(tuple(sorted(outcomes)), len(seen))
 
@@ -535,98 +625,109 @@ def enumerate_dc(
 
 
 class _ScState:
-    __slots__ = ("pcs", "locals", "nallocs", "nsyncs", "shared", "table")
+    """A shared-store state. A thread's event counter is not kept: it
+    follows from its pc (see :func:`_decode`). Per-thread locals are
+    shared with the state this one was cloned from until
+    :meth:`_own_locals` copies them; ``lkeys`` caches each thread's part
+    of the key, None once it may be stale."""
 
-    def __init__(self, program: ScriptProgram | None):
-        if program is None:
-            return
+    __slots__ = ("plan", "pcs", "locals", "lkeys", "owned", "shared")
+
+    def __init__(self, program: ScriptProgram):
+        self.plan = _decode(program)
         n = program.nthreads
         table = global_addresses(name for name, _ in program.globals)
-        self.table = table
         self.pcs = [0] * n
         self.locals: list[dict[str, Any]] = [{} for _ in range(n)]
-        self.nallocs = [0] * n
-        self.nsyncs = [0] * n
+        self.lkeys: list[tuple | None] = [None] * n
+        self.owned = (1 << n) - 1
         self.shared: dict[Address, Any] = {
             table[name]: value for name, value in program.globals
         }
 
     def clone(self) -> "_ScState":
-        c = _ScState(None)
+        c = _ScState.__new__(_ScState)
+        c.plan = self.plan
         c.pcs = list(self.pcs)
-        c.locals = [dict(d) for d in self.locals]
-        c.nallocs = list(self.nallocs)
-        c.nsyncs = list(self.nsyncs)
+        c.locals = list(self.locals)
+        c.lkeys = list(self.lkeys)
+        c.owned = self.owned = 0  # every locals map is shared from now on
         c.shared = dict(self.shared)
-        c.table = self.table
         return c
 
+    def _own_locals(self, t: int) -> dict[str, Any]:
+        """Thread ``t``'s locals, ready to be changed in place: copied on
+        their first change since the last clone, their key part cleared."""
+        locals_ = self.locals[t]
+        if not self.owned >> t & 1:
+            locals_ = self.locals[t] = locals_.copy()
+            self.owned |= 1 << t
+        self.lkeys[t] = None
+        return locals_
+
     def key(self) -> tuple:
-        return (
-            tuple(self.pcs),
-            tuple(tuple(sorted(d.items())) for d in self.locals),
-            tuple(self.nallocs),
-            tuple(self.nsyncs),
-            tuple(sorted(self.shared.items())),
-        )
+        lkeys = self.lkeys
+        for t, part in enumerate(lkeys):
+            if part is None:
+                lkeys[t] = tuple(sorted(self.locals[t].items()))
+        return (tuple(self.pcs), tuple(lkeys), tuple(sorted(self.shared.items())))
 
-    def _enabled(self, op: Any) -> bool:
-        return not isinstance(op, AcquireOp) or all(
-            self.nsyncs[lab.thread] >= lab.seq for lab in op.partners
-        )
+    def _enabled(self, op: tuple) -> bool:
+        pcs = self.pcs
+        return op[0] != _ACQ or all(pcs[u] >= pc for u, pc in op[4])
 
-    def runnable(self, program: ScriptProgram) -> list[int]:
+    def runnable(self) -> list[int]:
+        pcs = self.pcs
         return [
             t
-            for t, ops in enumerate(program.threads)
-            if self.pcs[t] < len(ops) and self._enabled(ops[self.pcs[t]])
+            for t, ops in enumerate(self.plan)
+            if pcs[t] < len(ops) and self._enabled(ops[pcs[t]])
         ]
 
-    def settle(self, program: ScriptProgram) -> None:
+    def settle(self) -> None:
         """Run every enabled REL/ACQ in place, until none is left.
 
         A sync op only increments its own thread's event counter: that can
         enable another thread's acquire but can disable or change nothing,
         so it commutes with every other step.
         """
+        pcs = self.pcs
         progress = True
         while progress:
             progress = False
-            for t, ops in enumerate(program.threads):
-                while self.pcs[t] < len(ops):
-                    op = ops[self.pcs[t]]
-                    if isinstance(op, _PRIVATE_OPS) or not self._enabled(op):
-                        break
-                    self.step(program, t)
+            for t, ops in enumerate(self.plan):
+                pc = pcs[t]
+                while pc < len(ops) and ops[pc][0] not in _PRIVATE and self._enabled(ops[pc]):
+                    pc += 1  # all that step() does for a sync op
+                if pc != pcs[t]:
+                    pcs[t] = pc
                     progress = True
 
-    def step(self, program: ScriptProgram, t: int) -> None:
+    def step(self, t: int) -> None:
         """Run thread ``t``'s next operation in place."""
-        op = program.threads[t][self.pcs[t]]
-        table = self.table
-        if isinstance(op, ReadOp):
-            addr = table.get(op.cell) or self.locals[t][op.cell]
-            self.locals[t][op.into] = self.shared[addr]
-        elif isinstance(op, WriteOp):
-            addr = table.get(op.cell) or self.locals[t][op.cell]
-            self.shared[addr] = eval_expr(op.expr, self.locals[t])
-        elif isinstance(op, AllocOp):
-            self.nallocs[t] += 1
-            base = len(program.globals) if t == ROOT_THREAD else 0
-            addr = Address(t, base + self.nallocs[t])
+        op = self.plan[t][self.pcs[t]]
+        kind = op[0]
+        if kind == _READ:
+            _, addr, cell, into = op
+            locals_ = self._own_locals(t)
+            locals_[into] = self.shared[addr or locals_[cell]]
+        elif kind == _WRITE:
+            _, addr, cell, expr, _ = op
+            locals_ = self.locals[t]
+            addr = addr or locals_[cell]
+            self.shared[addr] = eval_expr(expr, locals_)
+        elif kind == _ALLOC:
+            _, addr, into, _ = op
             self.shared[addr] = None
-            self.locals[t][op.into] = addr
-        elif isinstance(op, (ReleaseOp, AcquireOp)):
-            # Under the flat model sync events only advance the counter an
-            # acquire waits on; no payload moves because memory is shared.
-            self.nsyncs[t] += 1
+            self._own_locals(t)[into] = addr
+        # Under the flat model a sync event only advances the counter an
+        # acquire waits on, which is the pc; no payload moves because
+        # memory is shared.
         self.pcs[t] += 1
 
-    def outcome(self, program: ScriptProgram, rev: Mapping[Address, str]) -> Outcome:
+    def outcome(self, rev: Mapping[Address, str]) -> Outcome:
         blocked = [
-            t
-            for t in range(program.nthreads)
-            if self.pcs[t] < len(program.threads[t])
+            t for t, ops in enumerate(self.plan) if self.pcs[t] < len(ops)
         ]
         if blocked:
             return Outcome("DEADLOCK", deadlock_body(blocked))

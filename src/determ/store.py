@@ -71,9 +71,12 @@ class Address(NamedTuple):
         return f"@{self.owner}.{self.slot}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class VersionStamp:
-    """Identity of one write event: writing thread plus its write counter."""
+class VersionStamp(NamedTuple):
+    """Identity of one write event: writing thread plus its write counter.
+
+    A named tuple, as :class:`Address` is: hashing, equality and ordering
+    run in C, and ``hash(VersionStamp(w, s)) == hash((w, s))``.
+    """
 
     writer: int
     seq: int
@@ -113,8 +116,10 @@ class Conflict:
     incoming: VersionStamp
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(NamedTuple):
+    """One stored value and the stamp of the write that put it there. A
+    named tuple, because one is built on every write."""
+
     stamp: VersionStamp
     value: Any
 

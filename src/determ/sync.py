@@ -24,8 +24,7 @@ child without knowing how many sync events the child performed.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, DeadlockError, PairingError
 from .store import Diff, Workspace
@@ -37,24 +36,18 @@ TERMINAL_SEQ = 0
 _WAIT_TIMEOUT = 120.0
 
 
-@dataclass(frozen=True, order=True)
-class SyncLabel:
-    """Name of one synchronization event: (thread id, per-thread seq)."""
+class SyncLabel(NamedTuple):
+    """Name of one synchronization event: (thread id, per-thread seq).
+
+    A named tuple, so hashing, equality and ordering run in C on every
+    registry lookup; ``hash(SyncLabel(t, s)) == hash((t, s))``.
+    """
 
     thread: int
     seq: int
 
     def __str__(self) -> str:
         return f"({self.thread},{self.seq})"
-
-
-@dataclass(frozen=True, order=True)
-class ChannelId:
-    releaser: SyncLabel
-    acquirer: SyncLabel
-
-    def __str__(self) -> str:
-        return f"{self.releaser}->{self.acquirer}"
 
 
 class ChannelRegistry:

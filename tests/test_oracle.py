@@ -7,7 +7,9 @@ are additionally re-derived here by a test-local brute-force explorer
 that shares no code with the enumerators, so a bug in the production
 search cannot hide itself. The partial-order reduction is checked
 against the same driver with its settle steps turned off, on the corpus
-and on generated scripts.
+and on generated scripts. States share their per-thread parts
+copy-on-write; every state's key is rebuilt from scratch once its
+successors exist, to show that building them changed nothing shared.
 """
 from __future__ import annotations
 
@@ -103,7 +105,7 @@ def test_every_bundled_script_admits_exactly_one_outcome(name):
     assert result.outcomes[0].text == EXPECTED_DC[name]
 
 
-def _no_settle(self, program):
+def _no_settle(self):
     """Stands in for both settle steps: nothing runs eagerly."""
 
 
@@ -138,6 +140,67 @@ def test_reduction_keeps_every_corpus_outcome(name, enumerate_fn):
     full = _unreduced(enumerate_fn, program)
     assert reduced.outcomes == full.outcomes
     assert reduced.states <= full.states
+
+
+def _drop_key_caches(st):
+    """Forget every cached key part of a state, so key() rebuilds it."""
+    if isinstance(st, oracle._DcState):
+        for th in st.threads:
+            th._snap = th._key = None
+    else:
+        st.lkeys = [None] * len(st.lkeys)
+
+
+def _search(model, program, reduced):
+    """The search of _explore, yielding each state with its successors
+    as (stepped thread, successor) pairs once all of them are built."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not reduced:
+            mp.setattr(model, "settle", _no_settle)
+        init = model(program)
+        init.settle()
+        seen = {init.key()}
+        stack = [init]
+        while stack:
+            st = stack.pop()
+            succ = []
+            for t in st.runnable():
+                nxt = st.clone()
+                nxt.step(t)
+                nxt.settle()
+                succ.append((t, nxt))
+                key = nxt.key()
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(nxt)
+            yield st, succ
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("model", [oracle._DcState, oracle._ScState])
+def test_building_successors_leaves_the_parent_unchanged(model, reduced):
+    # Successors share the parent's threads (or locals) until they
+    # change them; a change that reached a shared part would show here.
+    for name in corpus_names():
+        for st, _ in _search(model, load_corpus(name), reduced):
+            before = st.key()
+            _drop_key_caches(st)
+            assert st.key() == before, name
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("model", [oracle._DcState, oracle._ScState])
+def test_a_successor_shares_what_its_step_left_alone(model, reduced):
+    parts = (lambda st: st.threads) if model is oracle._DcState else (lambda st: st.locals)
+    shared = 0
+    for name in corpus_names():
+        for st, succ in _search(model, load_corpus(name), reduced):
+            for t, nxt in succ:
+                for u, (mine, theirs) in enumerate(zip(parts(nxt), parts(st))):
+                    if u != t:
+                        assert mine is theirs, (name, t, u)
+                        shared += 1
+    assert shared
 
 
 def test_enumeration_is_reproducible():

@@ -20,6 +20,7 @@ from determ.store import (
     ROOT_THREAD,
     Address,
     Cell,
+    Conflict,
     Diff,
     VersionStamp,
     Workspace,
@@ -66,6 +67,30 @@ def test_address_value_semantics_are_pinned():
     assert Address(3, 7) == addr and Address(7, 3) != addr
     assert Address(2, 9) < addr < Address(3, 8) < Address(4, 0)
     assert {addr: 1}[Address(owner=3, slot=7)] == 1
+
+
+def test_stamp_and_cell_value_semantics_are_pinned():
+    stamp = VersionStamp(2, 5)
+    assert str(stamp) == "2.5"
+    assert repr(stamp) == "VersionStamp(writer=2, seq=5)"
+    assert (stamp.writer, stamp.seq) == (2, 5)
+    assert hash(stamp) == hash(tuple(stamp)) == hash((2, 5))
+    assert INITIAL < VersionStamp(0, 9) < VersionStamp(2, 4) < stamp < VersionStamp(3, 1)
+    cell = Cell(stamp, 11)
+    assert str(cell) == repr(cell) == "Cell(stamp=VersionStamp(writer=2, seq=5), value=11)"
+    assert (cell.stamp, cell.value) == (stamp, 11)
+    assert hash(cell) == hash(tuple(cell)) == hash(((2, 5), 11))
+    assert sorted([cell, Cell(VersionStamp(1, 7), 99), Cell(stamp, 3)]) == [
+        Cell(VersionStamp(1, 7), 99), Cell(stamp, 3), cell,
+    ]
+
+
+def test_race_payload_from_fixed_stamps_is_pinned():
+    err = DataRaceError((
+        Conflict(Address(0, 1), VersionStamp(1, 2), VersionStamp(2, 2)),
+        Conflict(Address(2, 3), INITIAL, VersionStamp(1, 4)),
+    ))
+    assert str(err) == "conflicting concurrent writes: @0.1[1.2|2.2], @2.3[-1.0|1.4]"
 
 
 def test_thread_ctx_dispatches_on_address_type():

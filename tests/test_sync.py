@@ -56,6 +56,22 @@ def wait_blocked(reg, count=1):
         time.sleep(0.001)
 
 
+def test_sync_label_value_semantics_are_pinned():
+    label = SyncLabel(2, 4)
+    assert str(label) == "(2,4)"
+    assert repr(label) == "SyncLabel(thread=2, seq=4)"
+    assert (label.thread, label.seq) == (2, 4)
+    assert hash(label) == hash(tuple(label)) == hash((2, 4))
+    assert SyncLabel(0, 9) < SyncLabel(2, TERMINAL_SEQ) < label < SyncLabel(2, 5) < SyncLabel(3, 1)
+    assert {label: 1}[SyncLabel(thread=2, seq=4)] == 1
+
+
+def test_pairing_payload_from_fixed_labels_is_pinned():
+    err = PairingError("acquire", lab(2, 1), (lab(1, 3), lab(0, 1), lab(1, TERMINAL_SEQ)))
+    assert str(err) == "acquire pairing violation at (2,1): (0,1), (1,0), (1,3)"
+    assert err.claimants == (lab(0, 1), lab(1, 0), lab(1, 3))
+
+
 # ----------------------------------------------------------------------
 # registry: plain transfer
 # ----------------------------------------------------------------------
