@@ -56,10 +56,7 @@ acquire and aimed at several channels can report its (identical-kind)
 violation with claimant lists of different widths depending on intra-event
 timing. Such programs are doubly broken; the checker still reports a
 pairing outcome for them but is only advertised as exact for programs
-whose violations are intra-event unambiguous. Separately, the runtime
-dooms a thread caught in a wait cycle at once, while the model still
-lets a later mis-paired release fault it, so a run of such a program can
-report fewer pairing violations than the enumeration.
+whose violations are intra-event unambiguous.
 """
 from __future__ import annotations
 

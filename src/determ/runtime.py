@@ -29,16 +29,24 @@ the same order by all of them (SPMD discipline). Sync operations outside
 collectives must be performed uniformly by all members, otherwise the
 mismatch surfaces as a deterministic ConfigError or deadlock, never as a
 silent wrong answer.
+
+Logical threads run on parked daemon OS threads shared by every
+``Runtime`` in the process: a launch hands the thread to an idle worker
+and starts a new one only when none is idle. A ``Runtime`` tracks
+logical threads only, through its registry: ``finish`` returns once
+every thread launched on it is done.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 import random
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, DeadlockError
 from .store import Address, Workspace, global_addresses
@@ -120,8 +128,7 @@ class StaticSchedule:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(NamedTuple):
     kind: str  # "rel" | "acq"
     phase: str  # "up" | "down"
     partner_rank: int
@@ -169,6 +176,36 @@ def plan_tree_barrier(
         steps[lo].append(_Step("rel", "down", hi, rel, acq))
         steps[hi].append(_Step("acq", "down", lo, acq, rel))
     return steps, seqs
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_template(n: int) -> tuple[tuple[tuple[_Step, ...], ...], tuple[int, ...]]:
+    """``plan_tree_barrier`` for ``n`` ranks from all-zero counters: per
+    rank, its steps with seq offsets in place of seqs (and ranks in place
+    of tids), and the count of labels each rank consumes."""
+    steps, seqs = plan_tree_barrier(range(n), dict.fromkeys(range(n), 0))
+    return tuple(tuple(steps[r]) for r in range(n)), tuple(seqs[r] for r in range(n))
+
+
+def plan_tree_rank(
+    tids: Sequence[int], seqs: dict[int, int], rank: int
+) -> tuple[list[_Step], dict[int, int]]:
+    """``rank``'s steps of ``plan_tree_barrier(tids, seqs)`` and its next
+    counters, without planning the other ranks: every label is its
+    owner's counter plus an offset fixed by the team size."""
+    template, used = _tree_template(len(tids))
+    me, base = tids[rank], seqs[rank]
+    steps = [
+        _Step(
+            kind,
+            phase,
+            pr,
+            SyncLabel(me, base + mine.seq),
+            SyncLabel(tids[pr], seqs[pr] + partner.seq),
+        )
+        for kind, phase, pr, mine, partner in template[rank]
+    ]
+    return steps, {r: s + used[r] for r, s in seqs.items()}
 
 
 def plan_pairwise_barrier(
@@ -296,6 +333,57 @@ class OrderedRegion:
 # ----------------------------------------------------------------------
 
 
+class _Worker:
+    __slots__ = ("job", "wake")
+
+    def __init__(self, job: Callable[[], None]) -> None:
+        self.job: Callable[[], None] | None = job
+        self.wake = threading.Lock()
+        self.wake.acquire()  # held while parked; released to hand a job over
+
+
+class _Workers:
+    """Parked daemon OS threads that run logical threads' jobs.
+
+    A job goes to an idle worker if there is one, else to a new one, so
+    the pool never holds more workers than the most jobs ever in flight
+    at once. A worker drops its job before it parks: a parked worker
+    keeps nothing of a finished ``Runtime`` alive.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+
+    def run(self, job: Callable[[], None]) -> None:
+        with self._lock:
+            worker = self._idle.pop() if self._idle else None
+        if worker is None:
+            # The job travels on the worker, not in the Thread's args,
+            # which the Thread would hold until the worker exits.
+            threading.Thread(
+                target=self._serve, args=(_Worker(job),), name="determ-worker", daemon=True
+            ).start()
+        else:
+            worker.job = job
+            worker.wake.release()
+
+    def _serve(self, worker: _Worker) -> None:
+        while True:
+            job, worker.job = worker.job, None
+            job()
+            job = None
+            with self._lock:
+                self._idle.append(worker)
+            worker.wake.acquire()
+
+
+_WORKERS = _Workers()
+# A forked child inherits the idle list, and maybe a held lock, but none
+# of the threads: it starts over with an empty pool.
+os.register_at_fork(after_in_child=_WORKERS.__init__)
+
+
 class Runtime:
     """Owns the registry, thread ids, tracing, and error collection."""
 
@@ -315,14 +403,13 @@ class Runtime:
         self._delay = delay
         self._trace_lines: list[str] | None = [] if trace else None
         self.errors: dict[int, BaseException] = {}
-        # OS threads that may still be running; finished ones are pruned.
-        self._threads: list[threading.Thread] = []
         # Spawned tasks not yet waited for: task tid -> spawning tid.
         self._spawned_by: dict[int, int] = {}
         # Stamps minted by reduction folds; a reduction variable may only
         # change underneath a team through one of these.
         self._fold_stamps: set = set()
         self._root = self._peer(0, seeded=True)
+        self.registry.register(0)
         self._finished = False
 
     # -- plumbing ------------------------------------------------------
@@ -356,14 +443,8 @@ class Runtime:
         team: Team | None = None,
         rank: int | None = None,
     ) -> "ThreadCtx":
-        """Register ``tid`` and build its context over an empty workspace,
-        or over one holding the globals when ``seeded``.
-
-        Register every peer of a group before launching any of them: the
-        doom analysis counts a thread blocked on an unregistered partner
-        as doomed.
-        """
-        self.registry.register(tid)
+        """Build ``tid``'s context over an empty workspace, or over one
+        holding the globals when ``seeded``."""
         ws = Workspace(tid, self._globals, names=self.names) if seeded else Workspace(tid)
         return ThreadCtx(self, tid, ws, self._endpoint(tid), team, rank)
 
@@ -381,18 +462,20 @@ class Runtime:
             self.registry.mark_done(ctx.tid)
 
     def _launch(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
-        """Run ``main(ctx)`` on a new OS thread; `finish` waits it out.
+        """Register ``ctx.tid`` and run ``main(ctx)`` on a parked worker.
 
-        The thread is listed only once started, so pruning the threads
-        that are not alive never drops one about to run.
+        A thread is live from its launch until it is done, so a peer that
+        was built but never launched (a fork failing halfway) holds off
+        neither quiescence nor `finish`. Launch is early enough: the
+        launcher itself stays live and running until its launches are
+        over, so no thread is doomed for waiting on a peer yet to come.
         """
-        t = threading.Thread(
-            target=self._run, args=(ctx, main), name=f"determ-{ctx.tid}", daemon=True
-        )
-        t.start()
-        with self._lock:
-            self._threads = [old for old in self._threads if old.is_alive()]
-            self._threads.append(t)
+        self.registry.register(ctx.tid)
+        try:
+            _WORKERS.run(functools.partial(self._run, ctx, main))
+        except BaseException:
+            self.registry.mark_done(ctx.tid)
+            raise
 
     # -- public surface -------------------------------------------------
 
@@ -405,31 +488,28 @@ class Runtime:
             return tuple(self._trace_lines or ())
 
     def finish(self) -> None:
-        """Declare the root thread done and wait out every spawned thread."""
+        """Declare the root thread done and wait until every launched
+        thread is done too: finished, or doomed and unwound, its error
+        recorded. Blocked threads are doomed once the root is done and
+        nobody else can run."""
         if self._finished:
             return
         self._finished = True
         self.registry.mark_done(0)
-        while True:
-            with self._lock:
-                pending = [t for t in self._threads if t.is_alive()]
-            if not pending:
-                break
-            for t in pending:
-                t.join(timeout=_JOIN_TIMEOUT)
-                if t.is_alive():  # pragma: no cover - runtime bug guard
-                    raise RuntimeError(f"thread {t.name} failed to settle")
+        if not self.registry.wait_all_done(timeout=_JOIN_TIMEOUT):  # pragma: no cover
+            raise RuntimeError("threads failed to settle")  # runtime bug guard
         self.registry.audit()
 
-    def wait_settled(self, tids: Sequence[int]) -> None:
+    def wait_settled(self, tids: Sequence[int], waiter: int) -> None:
         """Block until each tid has fully unwound (error reporting aid).
 
         Errors are recorded strictly before a thread is marked done, so
         once this returns every tid's error (if any) is readable. Waiting
         merely for doomed would race: a doomed thread is still alive and
         records its error only when its blocked acquire wakes up.
+        ``waiter``, the calling thread, counts as blocked meanwhile.
         """
-        self.registry.wait_unwound(tids, timeout=_JOIN_TIMEOUT)
+        self.registry.wait_unwound(tids, timeout=_JOIN_TIMEOUT, waiter=waiter)
 
 
 class ThreadCtx:
@@ -526,7 +606,7 @@ class ThreadCtx:
         try:
             self.ep.acquire_set(self.ws, partners)
         except DeadlockError:
-            self.rt.wait_settled(team.members)
+            self.rt.wait_settled(team.members, waiter=self.tid)
             err = self._team_error(team)
             if err is not None:
                 raise err from None
@@ -602,8 +682,8 @@ class ThreadCtx:
         team = self._require_team()
         self._collective_entry()
         if algorithm == "tree":
-            steps, seqs = plan_tree_barrier(team.members, self._counters)
-            self._run_tree_round(steps[self.rank], team)
+            steps, seqs = plan_tree_rank(team.members, self._counters, self.rank)
+            self._run_tree_round(steps, team)
         elif algorithm == "pairwise":
             steps, seqs = plan_pairwise_barrier(team.members, self._counters)
             self._run_pairwise_round(steps[self.rank], team)
@@ -761,7 +841,7 @@ class ThreadCtx:
         try:
             self.ep.acquire(self.ws, handle.completion)
         except DeadlockError:
-            self.rt.wait_settled([handle.tid])
+            self.rt.wait_settled([handle.tid], waiter=self.tid)
             err = self.rt.errors.get(handle.tid)
             if err is not None:
                 raise err from None

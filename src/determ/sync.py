@@ -11,10 +11,20 @@ channels (release set) or drain several channels under one label
 The registry enforces the uniqueness contract. A release label claimed by
 two acquires, or an acquire label fed by releases it never named, is a
 PairingError whose payload names the contested label and all claimants,
-sorted, so it does not depend on who arrived last. Blocked acquires feed a
-wait-for analysis: a thread is doomed once no chain of still-running
-threads can ever fill one of the channels it waits on, and every doomed
-thread raises DeadlockError carrying the doomed set.
+sorted, so it does not depend on who arrived last.
+
+Deadlock is decided at quiescence, as the model decides it at a state
+with no runnable step. A thread is blocked while its acquire still lacks
+a named release and has no fault pending. Once every live registered
+thread is blocked, none can ever be served: all of them are doomed at
+once, and each raises DeadlockError carrying the doomed set. Live and
+running threads are counted as they register, block, wake and finish,
+so the test costs O(1) per event.
+
+Each blocked acquire sleeps on a slot of its own, a condition on the
+registry lock. A deposit wakes only the acquires it fills, a fault only
+its acquire, a verdict only the doomed, so a satisfied acquire is woken
+once and nobody else is woken for it.
 
 Terminal releases are the one asymmetry. A thread's death diff is
 released under the reserved seq 0 with no target; whichever acquire later
@@ -26,7 +36,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, DeadlockError, PairingError
+from .errors import ConfigError, DeadlockError, DetermError, PairingError
 from .store import Diff, Workspace
 
 #: Reserved seq for a thread's terminal (death) release.
@@ -50,13 +60,27 @@ class SyncLabel(NamedTuple):
         return f"({self.thread},{self.seq})"
 
 
+class _Waiter(NamedTuple):
+    """One blocked claim: what it waits for and the slot it sleeps on."""
+
+    acq: SyncLabel
+    named: frozenset[SyncLabel]
+    missing: set[SyncLabel]  # named releases not deposited yet
+    slot: threading.Condition
+
+
 class ChannelRegistry:
     """Shared rendezvous state; the only memory threads genuinely share."""
 
     def __init__(self) -> None:
+        # Guards everything below. Blocked claims sleep on slots built on
+        # its lock, so only ``wait_unwound`` sleeps on ``_cond`` itself.
         self._cond = threading.Condition()
-        self._registered: set[int] = set()
+        self._live: set[int] = set()  # registered, not yet done
         self._done: set[int] = set()
+        # Waiting tids that lack a named release and have no pending fault.
+        self._blocked: set[int] = set()
+        self._running = 0  # live tids not in _blocked
         self._doomed: set[int] = set()
         # acquire label -> {release label -> diff} awaiting that acquire
         self._targeted: dict[SyncLabel, dict[SyncLabel, Diff]] = {}
@@ -68,9 +92,12 @@ class ChannelRegistry:
         self._rel_targets: dict[SyncLabel, set[SyncLabel]] = {}
         # executed acquires: acquire label -> the release labels it named
         self._claims: dict[SyncLabel, frozenset[SyncLabel]] = {}
-        # tid -> (acquire label, named release labels) while blocked
-        self._waiting: dict[int, tuple[SyncLabel, frozenset[SyncLabel]]] = {}
-        self._wait_violation: dict[int, PairingError] = {}
+        # tid -> its claim while in the wait loop
+        self._waiting: dict[int, _Waiter] = {}
+        # release label -> tids in the wait loop whose claim names it
+        self._naming: dict[SyncLabel, list[int]] = {}
+        # tid -> the fault or doom its wait ends with, once recorded
+        self._wait_violation: dict[int, DetermError] = {}
         self._violations: list[PairingError] = []
 
     # ------------------------------------------------------------------
@@ -79,26 +106,50 @@ class ChannelRegistry:
 
     def register(self, tid: int) -> None:
         with self._cond:
-            self._registered.add(tid)
+            if tid not in self._live and tid not in self._done:
+                self._live.add(tid)
+                if tid not in self._blocked:
+                    self._running += 1
 
     def mark_done(self, tid: int) -> None:
         with self._cond:
             self._done.add(tid)
-            self._recompute_doom()
+            if tid in self._live:
+                self._live.remove(tid)
+                if tid not in self._blocked:
+                    self._running -= 1
+                self._doom_if_quiescent()
             self._cond.notify_all()
 
-    def wait_unwound(self, tids: Iterable[int], timeout: float | None = None) -> bool:
+    def wait_unwound(
+        self, tids: Iterable[int], timeout: float | None = None, waiter: int | None = None
+    ) -> bool:
         """Block until every tid is done; True if that happened.
 
         Waiting for doomed is not enough: a doomed thread is still
         unwinding and may not have recorded its error yet, so anyone about
-        to read per-thread errors must wait for done.
+        to read per-thread errors must wait for done. ``waiter``, the
+        caller's own tid, does not count as running meanwhile, so a
+        thread it waits for that blocks again can still be doomed.
         """
         wanted = tuple(tids)
         with self._cond:
-            return self._cond.wait_for(
-                lambda: all(t in self._done for t in wanted), timeout=timeout
-            )
+            paused = waiter in self._live and waiter not in self._blocked
+            if paused:
+                self._running -= 1
+                self._doom_if_quiescent()
+            try:
+                return self._cond.wait_for(
+                    lambda: all(t in self._done for t in wanted), timeout=timeout
+                )
+            finally:
+                if paused:
+                    self._running += 1
+
+    def wait_all_done(self, timeout: float | None = None) -> bool:
+        """Block until every registered thread is done; True if so."""
+        with self._cond:
+            return self._cond.wait_for(lambda: not self._live, timeout=timeout)
 
     # ------------------------------------------------------------------
     # channel operations
@@ -129,19 +180,23 @@ class ChannelRegistry:
             self._rel_targets[rel] = set(targets)
             # A blocked acquire naming this release under a label outside
             # the target list means the two sides disagree on the pairing.
-            for tid, (acq, named) in self._waiting.items():
-                if rel in named and acq not in targets:
+            for tid in self._naming.get(rel, ()):
+                acq = self._waiting[tid].acq
+                if acq not in targets:
                     self._fault_waiter(tid, "release", rel, targets + (acq,))
             for target in targets:
+                waiter = self._waiting.get(target.thread)
+                if waiter is not None and waiter.acq != target:
+                    waiter = None
                 claimed = self._claims.get(target)
                 if claimed is not None and rel not in claimed:
                     claimants = tuple(claimed) + (rel,)
-                    waiting = self._waiting.get(target.thread)
-                    if waiting is None or waiting[0] != target:
+                    if waiter is None:
                         raise self._record("acquire", target, claimants)
                     self._fault_waiter(target.thread, "acquire", target, claimants)
                 self._targeted.setdefault(target, {})[rel] = diff
-            self._cond.notify_all()
+                if waiter is not None and rel in waiter.missing:
+                    self._fill(target.thread, waiter, rel)
 
     def deposit_terminal(self, rel: SyncLabel, diff: Diff) -> None:
         """Stash a terminal release, claimable by its label alone."""
@@ -149,7 +204,8 @@ class ChannelRegistry:
             if rel in self._floating or rel in self._floating_claim:
                 raise self._record("release", rel, (rel, rel))
             self._floating[rel] = diff
-            self._cond.notify_all()
+            for tid in self._naming.get(rel, ()):
+                self._fill(tid, self._waiting[tid], rel)
 
     def claim(
         self, acq: SyncLabel, rels: Sequence[SyncLabel], tid: int
@@ -163,39 +219,21 @@ class ChannelRegistry:
             self._claims[acq] = named
             # Deposits already aimed at this label must all be named.
             pending = self._targeted.get(acq, {})
-            extras = set(pending) - named
-            if extras:
-                raise self._record("acquire", acq, tuple(named | extras))
+            if not named.issuperset(pending):
+                raise self._record("acquire", acq, tuple(named.union(pending)))
+            floating = self._floating
+            missing = set()
             for rel in sorted(named):
                 err = self._claimed_elsewhere(acq, (rel,))
                 if err is not None:
                     raise err
                 aimed = self._rel_targets.get(rel)
-                if aimed and acq not in aimed and rel not in self._floating:
+                if aimed and acq not in aimed and rel not in floating:
                     raise self._record("release", rel, tuple(aimed) + (acq,))
-            deadline = None
-            while True:
-                err = self._wait_violation.pop(tid, None)
-                if err is None:
-                    # Another acquire naming the same terminal release may
-                    # have claimed it while this one slept: the same
-                    # violation as finding it claimed on arrival.
-                    err = self._claimed_elsewhere(acq, named)
-                if err is not None:
-                    self._waiting.pop(tid, None)
-                    raise err
-                if not self._missing_for(acq, named):
-                    break
-                self._waiting[tid] = (acq, named)
-                self._recompute_doom()
-                if tid in self._doomed:
-                    self._waiting.pop(tid, None)
-                    raise DeadlockError(tuple(self._doomed))
-                if not self._cond.wait(timeout=_WAIT_TIMEOUT):
-                    if deadline:  # pragma: no cover - runtime bug guard
-                        raise RuntimeError(f"thread {tid} stuck acquiring {acq}")
-                    deadline = True
-            self._waiting.pop(tid, None)
+                if rel not in pending and rel not in floating:
+                    missing.add(rel)
+            if missing:
+                self._wait(tid, _Waiter(acq, named, missing, self._slot()))
             out: dict[SyncLabel, Diff] = {}
             pending = self._targeted.get(acq, {})
             for rel in named:
@@ -204,6 +242,9 @@ class ChannelRegistry:
                 else:
                     out[rel] = self._floating.pop(rel)
                     self._floating_claim[rel] = acq
+                    # Anyone else naming it faults on the claim it lost.
+                    for other in self._naming.get(rel, ()):
+                        self._wake(other)
             if acq in self._targeted and not self._targeted[acq]:
                 del self._targeted[acq]
             return out
@@ -238,16 +279,88 @@ class ChannelRegistry:
     def _record(self, kind: str, contested: Any, claimants: tuple) -> PairingError:
         err = PairingError(kind, contested, claimants)
         self._violations.append(err)
-        self._cond.notify_all()
         return err
+
+    def _slot(self) -> threading.Condition:
+        """A wait slot for one claim: a condition of ``_cond``'s own class
+        on ``_cond``'s lock, so a swapped-in ``_cond`` covers it too."""
+        cond = self._cond
+        return type(cond)(cond._lock)  # type: ignore[attr-defined]
+
+    def _wait(self, tid: int, waiter: _Waiter) -> None:
+        """Sleep on ``waiter.slot`` until every named release is in, or
+        raise the fault or the doom that ends the wait."""
+        self._waiting[tid] = waiter
+        for rel in waiter.named:
+            self._naming.setdefault(rel, []).append(tid)
+        timed_out = False
+        try:
+            while True:
+                err = self._wait_violation.pop(tid, None)
+                if err is None:
+                    # Another acquire naming the same terminal release may
+                    # have claimed it while this one slept: the same
+                    # violation as finding it claimed on arrival.
+                    err = self._claimed_elsewhere(waiter.acq, waiter.named)
+                if err is not None:
+                    raise err
+                if not waiter.missing:
+                    return
+                if tid not in self._blocked:
+                    self._block(tid)
+                elif not waiter.slot.wait(timeout=_WAIT_TIMEOUT):
+                    if timed_out:  # pragma: no cover - runtime bug guard
+                        raise RuntimeError(f"thread {tid} stuck acquiring {waiter.acq}")
+                    timed_out = True
+        finally:
+            self._wake(tid)
+            self._wait_violation.pop(tid, None)
+            del self._waiting[tid]
+            for rel in waiter.named:
+                naming = self._naming[rel]
+                naming.remove(tid)
+                if not naming:
+                    del self._naming[rel]
+
+    def _block(self, tid: int) -> None:
+        """``tid`` can go no further; at quiescence every blocked thread
+        is doomed."""
+        self._blocked.add(tid)
+        if tid in self._live:
+            self._running -= 1
+        self._doom_if_quiescent()
+
+    def _wake(self, tid: int) -> None:
+        """Move a blocked ``tid`` back to running and wake its slot."""
+        if tid in self._blocked:
+            self._blocked.remove(tid)
+            if tid in self._live:
+                self._running += 1
+            self._waiting[tid].slot.notify()
+
+    def _fill(self, tid: int, waiter: _Waiter, rel: SyncLabel) -> None:
+        waiter.missing.discard(rel)
+        if not waiter.missing:
+            self._wake(tid)
+
+    def _doom_if_quiescent(self) -> None:
+        """When no live thread can run, nothing blocked can ever be
+        served: doom every blocked thread, as the model does at a state
+        with no runnable step."""
+        if not self._running and self._blocked:
+            self._doomed |= self._blocked
+            for tid in tuple(self._blocked):
+                self._wait_violation[tid] = DeadlockError(tuple(self._doomed))
+                self._wake(tid)
 
     def _fault_waiter(
         self, tid: int, kind: str, contested: Any, claimants: tuple
     ) -> None:
         """Record a violation for blocked ``tid`` to raise when it wakes;
-        a waiter already holding one faults on that one alone."""
+        a waiter already holding one, or its doom, raises that alone."""
         if tid not in self._wait_violation:
             self._wait_violation[tid] = self._record(kind, contested, claimants)
+            self._wake(tid)
 
     def _claimed_elsewhere(
         self, acq: SyncLabel, rels: Iterable[SyncLabel]
@@ -260,54 +373,6 @@ class ChannelRegistry:
             return None
         rel = min(clash)
         return self._record("release", rel, (claimed[rel], acq))
-
-    def _missing_for(self, acq: SyncLabel, named: frozenset[SyncLabel]) -> list[SyncLabel]:
-        """Named releases not yet deposited. A terminal release claimed by
-        another acquire is not missing: the waiter raises on waking."""
-        pending = self._targeted.get(acq, {})
-        return [
-            r
-            for r in named
-            if r not in pending
-            and r not in self._floating
-            and r not in self._floating_claim
-        ]
-
-    def _recompute_doom(self) -> None:
-        """Least fixpoint of "some chain of running threads can still fill
-        every channel this thread waits on". Whoever falls outside it can
-        never be woken: doomed."""
-        waiting = {
-            tid: self._missing_for(acq, named)
-            for tid, (acq, named) in self._waiting.items()
-        }
-        can_proceed: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for tid, missing in waiting.items():
-                if tid in can_proceed or tid in self._doomed:
-                    continue
-                ok = True
-                for rel in missing:
-                    source = rel.thread
-                    if (
-                        source in self._done
-                        or source in self._doomed
-                        or source not in self._registered
-                    ):
-                        ok = False
-                        break
-                    if source in waiting and source not in can_proceed:
-                        ok = False
-                        break
-                if ok:
-                    can_proceed.add(tid)
-                    changed = True
-        newly = set(waiting) - can_proceed - self._doomed
-        if newly:
-            self._doomed |= newly
-            self._cond.notify_all()
 
 
 def _validate_partners(

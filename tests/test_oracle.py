@@ -42,14 +42,12 @@ from determ.script import (
     AcquireOp,
     AllocOp,
     ReadOp,
-    ReleaseOp,
     ScriptProgram,
     WriteOp,
     eval_expr,
     parse_script,
 )
 from determ.store import ROOT_THREAD, Address, Conflict, VersionStamp, global_addresses
-from determ.sync import SyncLabel
 
 # One canonical paired-channel outcome per bundled script, frozen.
 EXPECTED_DC = {
@@ -383,31 +381,6 @@ def _scripts(draw):
     return "\n".join(lines) + "\n"
 
 
-def _consistently_paired(program: ScriptProgram) -> bool:
-    """No schedule can fault a pairing check: every release is aimed only
-    at acquires that name it, and every acquire that names a release is
-    among its targets. Partners that never run are allowed; they
-    deadlock."""
-    rel_targets, acq_names = {}, {}
-    for t, ops in enumerate(program.threads):
-        seq = 0
-        for op in ops:
-            if isinstance(op, (ReleaseOp, AcquireOp)):
-                seq += 1
-                side = rel_targets if isinstance(op, ReleaseOp) else acq_names
-                side[SyncLabel(t, seq)] = set(op.partners)
-    return all(
-        rel in acq_names.get(acq, ())
-        for rel, targets in rel_targets.items()
-        for acq in targets
-    ) and all(
-        acq in rel_targets[rel]
-        for acq, named in acq_names.items()
-        for rel in named
-        if rel in rel_targets
-    )
-
-
 # No shrink phase: shrinking re-enumerates every candidate unreduced and
 # can run for minutes, while an unshrunk script of at most 4 x 6 ops is
 # already readable.
@@ -425,13 +398,9 @@ def test_reduced_enumeration_matches_the_reference_and_the_runtime(text):
     for enumerate_fn in (enumerate_dc, enumerate_sc):
         reduced = enumerate_fn(program)
         assert reduced.outcomes == _unreduced(enumerate_fn, program).outcomes
-    # (b) a unique DC outcome is what the real stack produces. Mis-paired
-    # scripts are left out: the runtime dooms a thread stuck in a wait
-    # cycle before a later mis-paired release reaches it, while the model
-    # still lets that release fault the thread, so the runtime can report
-    # fewer pairing violations.
+    # (b) a unique DC outcome is what the real stack produces
     dc = enumerate_dc(program)
-    if dc.unique and _consistently_paired(program):
+    if dc.unique:
         for seed in range(2):
             assert run_on_runtime(program, seed=seed, delay=0) == dc.outcomes[0]
 
@@ -488,6 +457,19 @@ _BLOCKED_MISPAIRING = {
         "THREAD 2\nWRITE g1 0\nREL 1 1\n",
         "RACE g1:1.1/2.1",
     ),
+    # Threads 2 and 3 wait on each other before thread 0 releases (0,1),
+    # which faults thread 2's acquire (2,1). No thread is doomed while
+    # another can run, so that fault is always reported.
+    "fault_outruns_a_wait_cycle": (
+        "GLOBAL g0 0\nGLOBAL g1 3\n"
+        "THREAD 0\nREL 2 2\nREL 3 2\nREAD g0 v10\nALLOC p11\nREL 3 3\n"
+        "THREAD 1\nWRITE g0 26\nREL 2 3\nACQ 0 2\n"
+        "THREAD 2\nACQSET 0:1,3:2\nACQ 0 1\nACQ 1 1\nREL 3 1\nACQ 0 3\n"
+        "WRITE g1 12\n"
+        "THREAD 3\nREAD g0 v2\nWRITE g1 v2 + 9\nACQ 2 4\nACQ 0 2\nACQ 0 3\n",
+        "PAIRING release pairing violation at (0,1): (2,1), (2,2); "
+        "release pairing violation at (0,2): (1,2), (3,2)",
+    ),
 }
 
 
@@ -502,9 +484,10 @@ def test_blocked_mispairing_matches_the_enumerated_outcome(name):
             assert outcome.text == expected, f"seed {seed}, delay {delay}"
 
 
-def test_every_script_thread_is_registered_before_any_runs():
-    # Thread 0 waits on thread 1, which waits on thread 2. Were thread 1
-    # not yet registered when thread 0 blocked, thread 0 would be doomed.
+def test_a_wait_chain_through_a_thread_yet_to_run_is_not_doomed():
+    # Thread 0 waits on thread 1, which waits on thread 2. Thread 1 may
+    # block before thread 2 is even launched; nobody is doomed while some
+    # thread can still run.
     program = parse_script(
         "GLOBAL x 0\n"
         "THREAD 0\nACQ 1 2\n"

@@ -10,13 +10,20 @@ as a typed error, never as a silent wrong answer.
 """
 from __future__ import annotations
 
+import collections
+import gc
 import operator
+import os
 import random
+import signal
+import sys
 import threading
 import time
+import weakref
 
 import pytest
 
+from determ import runtime
 from determ.errors import (
     ConfigError,
     DataRaceError,
@@ -31,6 +38,7 @@ from determ.runtime import (
     plan_pairwise_barrier,
     perturb_hook,
     plan_tree_barrier,
+    plan_tree_rank,
     tree_fold,
 )
 from determ.store import Address, global_addresses
@@ -99,6 +107,16 @@ def test_barrier_plans_pair_every_channel_exactly_once(planner, n):
         assert after[r] >= seqs[r]
     again, after2 = planner(tids, seqs)
     assert (again, after2) == (steps, after)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 32])
+def test_one_rank_tree_plan_is_that_rank_of_the_full_plan(n):
+    rng = random.Random(n)
+    tids = [7 + 3 * r for r in range(n)]
+    seqs = {r: rng.randint(1, 40) for r in range(n)}
+    steps, after = plan_tree_barrier(tids, seqs)
+    for rank in range(n):
+        assert plan_tree_rank(tids, seqs, rank) == (steps[rank], after)
 
 
 def test_pairwise_plan_consumes_two_labels_per_member():
@@ -253,6 +271,85 @@ def test_nested_teams_compose():
 
     rt.root().fork_join([outer])
     assert rt.root().read("z") == 3
+    rt.finish()
+
+
+@pytest.mark.parametrize("pause", [0, 0.2])
+def test_a_crossed_team_is_reported_when_the_root_joins(pause):
+    # Each member acquires a label the other never releases. Nobody is
+    # doomed while the root can still run, so the payload does not depend
+    # on when the root gets to its join: the root is always among the
+    # doomed.
+    rt = Runtime()
+    root = rt.root()
+
+    def body(ctx):
+        other = ctx.team.members[1 - ctx.rank]
+        ctx.ep.acquire(ctx.ws, SyncLabel(other, 2))
+
+    team = root.fork([body, body])
+    time.sleep(pause)
+    assert rt.registry.doomed() == ()
+    assert rt.errors == {}
+    with pytest.raises(DeadlockError) as info:
+        root.join(team)
+    assert info.value.blocked == (0, 1, 2)
+    assert {t: rt.errors[t].blocked for t in team.members} == {1: (0, 1, 2), 2: (0, 1, 2)}
+    rt.finish()
+
+
+def test_threads_that_go_on_after_a_deadlock_can_deadlock_again():
+    # Members catch their doom and block again while the root waits for
+    # them to unwind; then the root runs a second such team. Each verdict
+    # dooms every thread blocked at that point, and the payload lists
+    # every thread doomed so far.
+    rt = Runtime()
+    root = rt.root()
+
+    def body(ctx):
+        other = ctx.team.members[1 - ctx.rank]
+        try:
+            ctx.ep.acquire(ctx.ws, SyncLabel(other, 2))
+        except DeadlockError:
+            ctx.ep.acquire(ctx.ws, SyncLabel(other, 3))
+
+    for members, doomed in (((1, 2), (0, 1, 2)), ((3, 4), (0, 1, 2, 3, 4))):
+        with pytest.raises(DeadlockError) as info:
+            root.fork_join([body, body])
+        assert info.value.blocked == doomed
+        assert [rt.errors[t].blocked for t in members] == [doomed, doomed]
+    rt.finish()
+
+
+def test_each_satisfied_acquire_wakes_its_waiter_at_most_once():
+    rt = Runtime(seed=3, delay=0.0005)
+    waits = collections.Counter()
+    claims = collections.Counter()
+
+    class CountingCondition(threading.Condition):
+        def wait(self, timeout=None):
+            waits[threading.get_ident()] += 1
+            return super().wait(timeout)
+
+    reg = rt.registry
+    reg._cond = CountingCondition()
+    claim = reg.claim
+
+    def counting_claim(acq, rels, tid):
+        claims[threading.get_ident()] += 1
+        return claim(acq, rels, tid)
+
+    reg.claim = counting_claim
+
+    def body(ctx):
+        for _ in range(20):
+            ctx.barrier()
+
+    rt.root().fork_join([body] * 4)
+    me = threading.get_ident()
+    # The root blocks in its join until the last terminal release lands.
+    assert (waits[me], claims[me]) == (1, 1)
+    assert all(waits[t] <= claims[t] for t in waits)
     rt.finish()
 
 
@@ -761,16 +858,115 @@ def test_waited_tasks_leave_no_bookkeeping():
     rt.finish()
 
 
-def test_finished_threads_are_not_retained():
+def test_teams_and_tasks_finish_under_rapid_thread_switching():
+    # More threads than cores, switching every 10 us: a lost wakeup or a
+    # worker handed two jobs shows up as a stall or a wrong total.
+    def program(out):
+        rt = Runtime({"total": 0})
+
+        def body(ctx):
+            for _ in range(10):
+                handle = ctx.spawn_task(lambda task: 1)
+                ctx.contribute("total", ctx.taskwait(handle))
+                ctx.barrier()
+
+        rt.root().fork_join([body] * 8, [Reduction("total", 0, operator.add)])
+        out.append(rt.root().read("total"))
+        rt.finish()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        out = []
+        runner = threading.Thread(target=program, args=(out,), daemon=True)
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive(), "the program stalled"
+    finally:
+        sys.setswitchinterval(old)
+    assert out == [80]
+
+
+def _parked_workers(pool, at_least=1):
+    deadline = time.monotonic() + 10.0
+    while len(pool._idle) < at_least:
+        assert time.monotonic() < deadline, "workers never parked"
+        time.sleep(0.001)
+    return len(pool._idle)
+
+
+def test_finished_threads_are_not_retained(monkeypatch):
+    pool = runtime._Workers()
+    monkeypatch.setattr(runtime, "_WORKERS", pool)
     rt = Runtime()
     root = rt.root()
     for k in range(200):
         handle = root.spawn_task(lambda ctx, k=k: k)
-        thread = rt._threads[-1]
         assert root.taskwait(handle) == k
-        thread.join()
-    # Each launch dropped every finished thread: only the last is left.
-    assert rt._threads == [thread]
+    rt.finish()
+    # One task runs at a time, so finished workers are handed the next.
+    assert _parked_workers(pool) <= 2
+
+
+def test_parked_workers_do_not_keep_a_finished_runtime_alive(monkeypatch):
+    pool = runtime._Workers()
+    monkeypatch.setattr(runtime, "_WORKERS", pool)
+    rt = Runtime({"x": 0})
+    rt.root().fork_join([lambda ctx: ctx.write("x", 1)])
+    rt.root().taskwait(rt.root().spawn_task(lambda ctx: ctx.read("x")))
+    rt.finish()
+    _parked_workers(pool)
+    ref = weakref.ref(rt)
+    del rt
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_workers():
+    rt = Runtime()
+    rt.root().taskwait(rt.root().spawn_task(lambda ctx: 1))
+    rt.finish()
+    _parked_workers(runtime._WORKERS)
+    pid = os.fork()
+    if pid == 0:  # the child: its inherited idle workers do not exist
+        code = 1
+        try:
+            child = Runtime()
+            code = 0 if child.root().taskwait(child.root().spawn_task(lambda ctx: 7)) == 7 else 1
+            child.finish()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child stalled")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_members_of_a_fork_that_failed_before_launch_hold_nobody_up():
+    rt = Runtime()
+    root = rt.root()
+
+    def refuse():
+        raise RuntimeError("refused")
+
+    root.ep._hook = refuse  # fails the fork's birth release
+    with pytest.raises(RuntimeError):
+        root.fork([lambda ctx: None] * 2)
+    root.ep._hook = None
+    # Members 1 and 2 exist but never run: a task waiting on one of them
+    # is doomed along with its waiter, and finish waits for neither.
+    handle = root.spawn_task(lambda ctx: ctx.ep.acquire(ctx.ws, SyncLabel(1, 2)))
+    with pytest.raises(DeadlockError) as info:
+        root.taskwait(handle)
+    assert info.value.blocked == (0, 3)
     rt.finish()
 
 
