@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ConfigError, DeadlockError
+from .errors import ConfigError, DeadlockError, UnallocatedError
 from .store import Address, Workspace, global_addresses
 from .sync import TERMINAL_SEQ, ChannelRegistry, Endpoint, SyncLabel
 
@@ -534,6 +534,7 @@ class ThreadCtx:
         self._counters = {r: 1 for r in range(team.size)} if team else {}
         self._acc_addrs: dict[str, Address] = {}
         self._hook = ep._hook
+        self._names = rt.names
 
     # -- data operations -------------------------------------------------
 
@@ -541,24 +542,41 @@ class ThreadCtx:
         if isinstance(target, Address):
             return target
         try:
-            return self.rt.names[target]
+            return self._names[target]
         except KeyError:
             raise ConfigError(f"unknown global {target!r}") from None
 
-    def _pause(self) -> None:
-        if self._hook is not None:
-            self._hook()
+    # read and write inline the hook and ``addr``, and read the cell map,
+    # since a kernel calls them per element. A name is looked up first:
+    # the table holds no Address, so an address misses and is then
+    # taken as it is.
 
     def read(self, target: str | Address) -> Any:
-        self._pause()
-        return self.ws.read(self.addr(target))
+        if self._hook is not None:
+            self._hook()
+        addr = self._names.get(target)
+        if addr is None:
+            if not isinstance(target, Address):
+                raise ConfigError(f"unknown global {target!r}")
+            addr = target
+        try:
+            return self.ws.cells[addr][1]
+        except KeyError:
+            raise UnallocatedError(addr) from None
 
     def write(self, target: str | Address, value: Any) -> None:
-        self._pause()
-        self.ws.write(self.addr(target), value)
+        if self._hook is not None:
+            self._hook()
+        addr = self._names.get(target)
+        if addr is None:
+            if not isinstance(target, Address):
+                raise ConfigError(f"unknown global {target!r}")
+            addr = target
+        self.ws.write(addr, value)
 
     def alloc(self, value: Any = None) -> Address:
-        self._pause()
+        if self._hook is not None:
+            self._hook()
         return self.ws.alloc(value)
 
     # -- fork / join ------------------------------------------------------
@@ -618,6 +636,11 @@ class ThreadCtx:
         if pending:
             raise ConfigError(f"tasks {pending} were never waited before team join")
         self._fold_partials(team, pre_stamps)
+        # The members, and every task they waited for, are done: nothing
+        # that can still run holds an accumulator, and nobody reads one.
+        self.ws.drop(
+            Address(t, idx + 1) for t in team.members for idx in range(len(team.reductions))
+        )
 
     def fork_join(
         self,

@@ -461,10 +461,13 @@ class Endpoint:
         return label
 
     def release_terminal(self, ws: Workspace) -> SyncLabel:
-        """Death release under the reserved label (thread, 0)."""
+        """Death release under the reserved label (thread, 0). The
+        workspace retires its owner first, so whoever claims the diff
+        knows the thread's writes to their end."""
         if self._hook is not None:
             self._hook()
         label = SyncLabel(self.thread, TERMINAL_SEQ)
         self._trace(label, "REL", None)
+        ws.retire()
         self.registry.deposit_terminal(label, ws.extract_diff())
         return label

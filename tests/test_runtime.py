@@ -30,6 +30,7 @@ from determ.errors import (
     DeadlockError,
     DetermError,
     PairingError,
+    UnallocatedError,
 )
 from determ.runtime import (
     Reduction,
@@ -364,6 +365,36 @@ def test_unknown_global_is_a_config_error():
     rt = Runtime({"x": 0})
     with pytest.raises(ConfigError):
         rt.root().read("y")
+    rt.finish()
+
+
+def test_thread_ctx_ops_pause_once_and_raise_the_store_errors():
+    # read and write resolve the name, pause and read the cell map in one
+    # frame: each op still draws exactly one perturbation, and a bad name
+    # or address fails with the same error as through the workspace.
+    rt = Runtime({"x": 0})
+    root = rt.root()
+    pauses = []
+    root._hook = lambda: pauses.append(1)
+    x = rt.names["x"]
+    root.write("x", 5)
+    root.write(x, 6)
+    assert root.read("x") == root.read(x) == 6
+    mine = root.alloc(7)
+    assert root.read(mine) == 7
+    assert len(pauses) == 6
+    for op in (lambda: root.read("y"), lambda: root.write("y", 1)):
+        with pytest.raises(ConfigError, match=r"^unknown global 'y'$"):
+            op()
+    with pytest.raises(ConfigError):
+        root.read((x.owner, x.slot))  # a bare tuple is a name, not an address
+    missing = Address(5, 1)
+    for op in (lambda: root.read(missing), lambda: root.write(missing, 1)):
+        with pytest.raises(UnallocatedError) as info:
+            op()
+        assert info.value.addr == missing
+        assert str(info.value) == "unallocated address @5.1"
+    assert len(pauses) == 11
     rt.finish()
 
 
@@ -855,6 +886,38 @@ def test_waited_tasks_leave_no_bookkeeping():
         handle = root.spawn_task(lambda ctx, k=k: k)
         assert root.taskwait(handle) == k
     assert rt._spawned_by == {}
+    rt.finish()
+
+
+def test_an_aged_runtime_keeps_flat_sync_state():
+    # Each epoch: a 4-member reduction fork_join whose members also write
+    # globals, then one task. Finished members and tasks retire, joined
+    # accumulators are dropped, and only the task result cells (public
+    # through TaskHandle.result) stay, so the root's live knowledge, its
+    # index and its other cells must not grow with the Runtime's age.
+    rt = Runtime({"total": 0, "g0": 0, "g1": 0, "g2": 0, "g3": 0})
+    root = rt.root()
+    results = set()
+
+    def body(ctx):
+        ctx.write(f"g{ctx.rank}", ctx.read(f"g{ctx.rank}") + ctx.rank)
+        ctx.contribute("total", ctx.rank + 1)
+
+    def counts():
+        ws = root.ws
+        return len(ws._live), len(ws._index), len(ws.cells.keys() - results)
+
+    at_50 = None
+    for epoch in range(1, 501):
+        root.fork_join([body] * 4, [Reduction("total", 0, operator.add)])
+        handle = root.spawn_task(lambda ctx: ctx.read("total"))
+        assert root.taskwait(handle) == root.read("total") == 10 * epoch
+        results.add(handle.result)
+        if epoch == 50:
+            at_50 = counts()
+    assert counts() == at_50
+    assert root.read("g3") == 3 * 500
+    root.ws.check_invariants()
     rt.finish()
 
 

@@ -9,6 +9,7 @@ test exercises that equivalence.
 """
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
@@ -26,7 +27,6 @@ from determ.store import (
     Workspace,
     covers,
     global_addresses,
-    merge_knowledge,
 )
 
 # ----------------------------------------------------------------------
@@ -117,11 +117,6 @@ def test_covers_compares_per_writer_counters():
     assert covers(knowledge, VersionStamp(1, 1))
     assert not covers(knowledge, VersionStamp(1, 5))
     assert not covers(knowledge, VersionStamp(2, 1))
-
-
-def test_merge_knowledge_is_pointwise_max():
-    assert merge_knowledge({1: 4, 2: 1}, {1: 2, 3: 9}) == {1: 4, 2: 1, 3: 9}
-    assert merge_knowledge({}, {5: 2}) == {5: 2}
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +416,12 @@ def _index_of(writes):
     return index
 
 
+def _index_of_live(diff):
+    """The same, for the writers the diff's sender had not seen retire."""
+    retired = {w for lo, hi in diff.retired for w in range(lo, hi)}
+    return {w: b for w, b in _index_of(diff.writes).items() if w not in retired}
+
+
 class _Counted(dict):
     """A cell map that counts single lookups and refuses to be walked."""
 
@@ -563,6 +564,18 @@ class SetWorkspace:
     def extract(self):
         return dict(self.cells), set(self.observed)
 
+    def drop(self, addrs):
+        for addr in addrs:
+            del self.cells[addr]
+
+    def knowledge(self):
+        """The counter vector the observed set implies, as state_bytes
+        lists it."""
+        top = {}
+        for stamp in self.observed:
+            top[stamp.writer] = max(top.get(stamp.writer, 0), stamp.seq)
+        return sorted(top.items())
+
     def apply(self, snapshot):
         cells, sender_observed = snapshot
         adopt, conflicts = [], []
@@ -591,38 +604,67 @@ def test_event_set_model_agrees_on_random_histories():
     # diff, and writes land on any cell a workspace holds, including
     # cells other owners allocated, so dicts hold cells out of address
     # order. Some start with no globals but allocate, so they learn the
-    # globals' initial cells from a diff of a different table. Every
-    # step checks the invariants, the per-writer index among them, and
-    # every diff's index must still match its cells at the end.
+    # globals' initial cells from a diff of a different table. Owners
+    # finish with a terminal release (retire, then extract) that one
+    # other owner applies, and never act again; receivers pass the
+    # retirements on. A live owner drops cells that finished writers
+    # stamped and that no other live owner holds, as a join drops its
+    # members' accumulators (allocated cells, never globals). Every step checks the invariants, the
+    # per-writer index and the retired writers among them, and every
+    # diff's index must still match its cells at the end.
     empty_adopts = foreign_writes = table_adopts = 0
-    for seed in range(50):
+    terminal_applies = passed_on = drops = 0
+    for seed in range(60):
         rng = random.Random(seed)
         init = {"x": 0, "y": 0}
-        owners = [1, 2, 3, 4]
+        owners = [1, 2, 3, 4, 5, 6]
         starts = {t: init if rng.random() < 0.5 else {} for t in owners}
         real = {t: Workspace(t, starts[t]) for t in owners}
         mini = {t: SetWorkspace(t, starts[t]) for t in owners}
+        live = list(owners)
+        globals_ = set(global_addresses(init).values())
         minted = []
         diffs = []
-        for _ in range(40):
-            t = rng.choice(owners)
+        for _ in range(60):
+            t = rng.choice(live)
             action = rng.random()
-            if action < 0.45 and real[t].cells:
+            if action < 0.4 and real[t].cells:
                 addr = rng.choice(sorted(real[t].cells))
                 foreign_writes += addr.owner not in (t, ROOT_THREAD)
                 value = rng.randrange(100)
                 minted.append(real[t].write(addr, value))
                 mini[t].write(addr, value)
                 real[t].check_invariants()
-            elif action < 0.6:
+            elif action < 0.52:
                 value = rng.randrange(100)
                 addr = real[t].alloc(value)
                 assert mini[t].alloc(value) == addr
                 minted.append(real[t].cells[addr].stamp)
                 real[t].check_invariants()
+            elif action < 0.6:
+                others = [real[o].cells.keys() for o in live if o != t]
+                held = sorted(
+                    a
+                    for a in real[t].cells
+                    if a not in globals_ and not any(a in h for h in others)
+                )
+                before = set(real[t].cells)
+                real[t].drop(held)
+                gone = before - set(real[t].cells)
+                drops += len(gone)
+                mini[t].drop(gone)
+                real[t].check_invariants()
             else:
-                target = rng.choice([o for o in owners if o != t])
+                terminal = action > 0.93 and len(live) > 2
+                target = rng.choice([o for o in live if o != t])
                 empty_adopts += not real[target].cells
+                if terminal:
+                    real[t].retire()
+                    live.remove(t)
+                passed_on += any(
+                    w != t and w not in real[target].knowledge
+                    for w in set(real[t].knowledge) - set(live)
+                )
                 diff = real[t].extract_diff()
                 diffs.append(diff)
                 x = global_addresses(init)["x"]
@@ -639,19 +681,26 @@ def test_event_set_model_agrees_on_random_histories():
                     ]
                 else:
                     real_pairs = None
+                    terminal_applies += terminal
                 mini_conflicts = mini[target].apply(snapshot)
                 assert real_pairs == mini_conflicts, f"seed {seed}"
+                real[t].check_invariants()
                 real[target].check_invariants()
         for diff in diffs:
-            assert diff.index == _index_of(diff.writes), f"seed {seed}"
+            assert diff.index == _index_of_live(diff), f"seed {seed}"
         for t in owners:
             real[t].check_invariants()
             # Identical final cells, stamp and value alike.
             assert {
                 a: (c.stamp, c.value) for a, c in real[t].cells.items()
             } == mini[t].cells, f"seed {seed}"
+            # The same knowledge in state_bytes, retired writers included.
+            assert (
+                ast.literal_eval(real[t].state_bytes().decode())[1] == mini[t].knowledge()
+            ), f"seed {seed}"
             # Counter coverage and set membership answer alike for every
             # write event the history minted.
             for stamp in minted:
                 assert covers(real[t].knowledge, stamp) == mini[t].seen(stamp)
     assert empty_adopts > 0 and foreign_writes > 0 and table_adopts > 0
+    assert terminal_applies > 0 and passed_on > 0 and drops > 0
