@@ -15,33 +15,64 @@ Two engines answer "what outcomes can this program produce?":
 
 Both run on one depth-first driver, :func:`_explore`, with state
 deduplication and partial-order reduction in its simplest static form,
-a singleton persistent set (Flanagan & Godefroid, POPL 2005). Before a
-state is deduplicated, its ``settle`` step runs, in place, every step
-that commutes with all other threads' steps and that no step can
-disable:
+a singleton persistent set (Godefroid 1996; Flanagan & Godefroid, POPL
+2005). Before a state is deduplicated, its ``settle`` step runs, in
+place, every step of a thread ``t`` that
 
-* paired-channel model: READ, WRITE and ALLOC, which touch only the
-  thread's private workspace;
-* shared store: enabled REL and ACQ, which only advance the thread's own
-  event counter. That can enable another thread's acquire but changes
-  nothing else.
+* is enabled, and cannot be disabled by another thread's step;
+* conflicts with no op of any other live thread from that thread's pc
+  onward.
 
-Such a step is taken in every complete schedule from the state where it
-is enabled, and running it early only moves it across steps it commutes
-with. So every terminal state, deadlocks included, stays reachable: the
-outcome set is exact and only the count of states shrinks. What is left
-to interleave is what can interact: sync events under the paired-channel
-model, memory operations under the shared store.
+Along any path from the state that does not take such a step, the other
+threads run only ops it does not conflict with, and it stays enabled;
+so a terminal state, deadlocks included, is only reached once it has
+run, and moving it to the front of the path crosses only steps it
+commutes with. Every terminal state stays reachable: the outcome set is
+exact and only the count of states shrinks.
+
+Two ops of different threads conflict when running them in the other
+order may change what either does:
+
+* paired-channel model: READ, WRITE and ALLOC touch only the thread's
+  private workspace and conflict with nothing. Two RELs conflict when
+  their target sets overlap, two ACQs when their named sets overlap. A
+  REL ``r`` and an ACQ at label ``L`` conflict unless "``L`` names
+  ``r``" and "``r`` targets ``L``" are both true or both false. Both
+  false, they touch disjoint channel entries. Both true, they are a
+  matched pair and never need interleaving: the ACQ cannot complete
+  before ``r`` is deposited, and if it faults on another label first,
+  ``r`` still finds itself among the ACQ's claims and deposits as it
+  would have, while the fault names the same labels in either order. A
+  REL is always enabled; an ACQ settles only when it is ready, and only
+  a REL aimed at it that it does not name (a conflict) can then make it
+  fault instead.
+* shared store: REL and ACQ only advance their thread's event counter,
+  which can enable another thread's acquire but disable or change
+  nothing, so every enabled one settles. READ ``g`` conflicts with
+  WRITE ``g``, and WRITE ``g`` with any access to ``g``. Only ALLOC
+  makes addresses, so an access through a local reaches allocated cells
+  alone: it conflicts with every other access through a local and with
+  every ALLOC.
+
+What is left to interleave is what can interact: sync events that share
+a channel, and memory operations that share a cell.
+
+:func:`_decode` sums up each op's conflicts once per enumeration as its
+horizon: for every other thread that holds ops it conflicts with, the
+first pc past the last of them. The op is free of conflicts once every
+other live thread has reached its horizon, a test of O(threads) per
+step.
 
 A state costs what its step changed. A clone shares its parent's
 per-thread parts: a paired-channel thread (pc, status, locals, store,
-observed set), or a shared-store thread's locals. The first change to
-such a part after a clone copies it, whichever step makes it, and from
-then on the clone alone owns it; the parent gives up ownership at the
-clone, so neither can change what the other sees. Each part caches its
-share of the dedup key, and a paired-channel thread also its release
-snapshot; a copy starts with empty caches and an owned part clears them
-before every change. The ops are decoded once per enumeration, with the
+observed set), or a shared-store thread's locals, and a shared-store
+state also shares its store. The first change to such a part after a
+clone copies it, whichever step makes it, and from then on the clone
+alone owns it; the parent gives up ownership at the clone, so neither
+can change what the other sees. Each part caches its share of the dedup
+key, and a paired-channel thread also its release snapshot; a copy
+starts with empty caches and an owned part clears them before every
+change. The ops are decoded once per enumeration, with the
 labels, stamps and addresses they mint.
 
 :func:`run_on_runtime` executes the program on :class:`Runtime`, the
@@ -214,17 +245,25 @@ def _check_limits(program: ScriptProgram) -> None:
 
 # Kinds of decoded operations; see _decode.
 _READ, _WRITE, _ALLOC, _REL, _ACQ = range(5)
-
-# Steps that touch only the running thread's own state in the
-# paired-channel model; the shared-store model interleaves exactly these.
-_PRIVATE = (_READ, _WRITE, _ALLOC)
+# The ops that can conflict: sync events in the paired-channel model,
+# memory operations in the shared-store model.
+_SYNC = (_REL, _ACQ)
+_MEMORY = (_READ, _WRITE, _ALLOC)
 
 # Decoded operations, indexed by thread, then by pc.
 _Plan = tuple[tuple[tuple, ...], ...]
 
+# Per thread, per pc: ((u, pc), ...) for each other thread u that holds
+# an op the op conflicts with, pc being the first pc of u past all of them.
+_Horizons = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
-def _decode(program: ScriptProgram) -> _Plan:
-    """Every thread's ops as flat tuples, decoded once per enumeration.
+
+def _decode(
+    program: ScriptProgram, kinds: tuple[int, ...], conflict
+) -> tuple[_Plan, _Horizons]:
+    """Every thread's ops as flat tuples, decoded once per enumeration,
+    and each op's horizon under the model's ``conflict`` rule, which
+    relates ops of ``kinds`` alone (other ops get an empty horizon).
 
     What an op mints depends on its position alone: thread ``t``'s k-th
     write or allocation is stamped ``VersionStamp(t, k)``, its k-th
@@ -244,6 +283,56 @@ def _decode(program: ScriptProgram) -> _Plan:
     thread ``u`` past its k-th sync event (past its last op if it has
     fewer).
     """
+    plan = _ops(program)
+    # per thread: (first pc past it, op) for each op of kinds, last first
+    backwards = [
+        [(pc, op) for pc, op in enumerate(ops, 1) if op[0] in kinds][::-1] for ops in plan
+    ]
+    return plan, tuple(
+        tuple(_horizon(backwards, t, op, conflict) if op[0] in kinds else () for op in ops)
+        for t, ops in enumerate(plan)
+    )
+
+
+def _horizon(backwards: list, t: int, op: tuple, conflict) -> tuple[tuple[int, int], ...]:
+    """For each thread but ``t`` that holds an op conflicting with
+    ``op``: the thread and the first pc past the last such op."""
+    out = []
+    for u, ops in enumerate(backwards):
+        if u != t:
+            for pc, other in ops:
+                if conflict(op, other):
+                    out.append((u, pc))
+                    break
+    return tuple(out)
+
+
+def _dc_conflict(a: tuple, b: tuple) -> bool:
+    """Paired-channel conflicts, between sync events alone: RELs whose
+    target sets overlap, ACQs whose named sets overlap, and a REL and an
+    ACQ unless each names the other or neither does."""
+    if a[0] == b[0]:
+        i = 3 if a[0] == _REL else 2  # targets of a REL, names of an ACQ
+        return not a[i].isdisjoint(b[i])
+    rel, acq = (a, b) if a[0] == _REL else (b, a)
+    return (rel[1] in acq[2]) != (acq[1] in rel[3])
+
+
+def _sc_conflict(a: tuple, b: tuple) -> bool:
+    """Shared-store conflicts, between memory operations alone: on one
+    global when either writes it; through locals, which reach allocated
+    cells alone, between any two such accesses and with every ALLOC."""
+    if a[0] > b[0]:
+        a, b = b, a  # now a[0] <= b[0]: READ < WRITE < ALLOC
+    if b[0] == _ALLOC:
+        return a[0] != _ALLOC and a[1] is None
+    if a[1] is None or b[1] is None:
+        return a[1] is b[1]
+    return a[1] == b[1] and b[0] == _WRITE
+
+
+def _ops(program: ScriptProgram) -> _Plan:
+    """The op tuples of :func:`_decode`."""
     table = global_addresses(name for name, _ in program.globals)
     # per thread: the first pc past its k-th sync event, at index k
     passed = [
@@ -360,10 +449,12 @@ class _DcState:
     was cloned from until :meth:`_own` copies them; ``owned`` has bit
     ``t`` set once thread ``t`` belongs to this state alone."""
 
-    __slots__ = ("plan", "threads", "owned", "targeted", "rel_targets", "claims", "violations")
+    __slots__ = (
+        "plan", "horizons", "threads", "owned", "targeted", "rel_targets", "claims", "violations"
+    )
 
     def __init__(self, program: ScriptProgram):
-        self.plan = _decode(program)
+        self.plan, self.horizons = _decode(program, _SYNC, _dc_conflict)
         table = global_addresses(name for name, _ in program.globals)
         seed = {
             table[name]: (INITIAL, value) for name, value in program.globals
@@ -384,6 +475,7 @@ class _DcState:
     def clone(self) -> "_DcState":
         c = _DcState.__new__(_DcState)
         c.plan = self.plan
+        c.horizons = self.horizons
         c.threads = list(self.threads)
         c.owned = self.owned = 0  # every thread is shared from now on
         c.targeted = dict(self.targeted)
@@ -446,17 +538,46 @@ class _DcState:
     # -- transition -------------------------------------------------------
 
     def settle(self) -> None:
-        """Run every thread's leading READ/WRITE/ALLOC ops in place.
+        """Run in place, until none is left, every step no other thread
+        can interact with.
 
-        They read and write only the thread's own store, locals and
-        observed set, which no other thread's step reads, and nothing can
-        disable them; so they commute with every other step.
+        READ, WRITE and ALLOC read and write only the thread's own store,
+        locals and observed set, and nothing can disable them. A REL,
+        and an ACQ that is ready, run once every other live thread is
+        past their horizon: no sync event those threads have left shares
+        a channel entry with them, except a matched partner, which is
+        ordered after a REL anyway. No other step can then disable them
+        either, so they commute with every step they are moved across
+        (see the module docstring).
         """
-        for t, ops in enumerate(self.plan):
-            th = self.threads[t]
-            while th.status == "run" and ops[th.pc][0] in _PRIVATE:
+        plan, horizons, threads = self.plan, self.horizons, self.threads
+        n = len(plan)
+        t = idle = 0
+        while idle < n:  # stop once every thread was found stuck in a row
+            ops, th = plan[t], threads[t]
+            synced = False  # private steps concern no other thread
+            while th.status == "run":
+                pc = th.pc
+                kind = ops[pc][0]
+                if kind >= _REL:
+                    if kind == _ACQ and self._acq_mode(ops[pc]) != "ready":
+                        break
+                    if not self._past(horizons[t][pc]):
+                        break
+                    synced = True
                 self.step(t)
-                th = self.threads[t]  # step() copies a shared thread
+                th = threads[t]  # step() copies a shared thread
+            idle = 1 if synced else idle + 1
+            t = t + 1 if t + 1 < n else 0
+
+    def _past(self, horizon: tuple[tuple[int, int], ...]) -> bool:
+        """Whether every live thread is past ``horizon``."""
+        threads = self.threads
+        for u, pc in horizon:
+            th = threads[u]
+            if th.pc < pc and th.status == "run":
+                return False
+        return True
 
     def step(self, t: int) -> None:
         """Run thread ``t``'s next operation in place."""
@@ -611,7 +732,9 @@ def enumerate_dc(
     model.
 
     Each thread's READ/WRITE/ALLOC ops run eagerly, since they touch only
-    its private workspace; the search interleaves the sync events alone.
+    its private workspace, and so does each sync event that no other
+    thread's remaining sync events can interact with; the search
+    interleaves the rest.
     """
     return _explore(_DcState(program), program, max_states)
 
@@ -623,15 +746,25 @@ def enumerate_dc(
 
 class _ScState:
     """A shared-store state. A thread's event counter is not kept: it
-    follows from its pc (see :func:`_decode`). Per-thread locals are
-    shared with the state this one was cloned from until
-    :meth:`_own_locals` copies them; ``lkeys`` caches each thread's part
-    of the key, None once it may be stale."""
+    follows from its pc (see :func:`_decode`). Per-thread locals, and
+    the store, are shared with the state this one was cloned from until
+    :meth:`_own_locals` or :meth:`_own_shared` copies them; ``lkeys``
+    caches each thread's part of the key and ``skey`` the store's, None
+    once it may be stale."""
 
-    __slots__ = ("plan", "pcs", "locals", "lkeys", "owned", "shared")
+    __slots__ = (
+        "plan", "gates", "pcs", "locals", "lkeys", "owned", "shared", "shared_owned", "skey"
+    )
 
     def __init__(self, program: ScriptProgram):
-        self.plan = _decode(program)
+        self.plan, horizons = _decode(program, _MEMORY, _sc_conflict)
+        # per thread, per pc: the ((u, pc), ...) that settling the op
+        # waits for, each thread u to reach pc: an ACQ's partner events,
+        # a memory operation's horizon, nothing for a REL
+        self.gates = tuple(
+            tuple(op[4] if op[0] == _ACQ else h for op, h in zip(ops, hs))
+            for ops, hs in zip(self.plan, horizons)
+        )
         n = program.nthreads
         table = global_addresses(name for name, _ in program.globals)
         self.pcs = [0] * n
@@ -641,15 +774,20 @@ class _ScState:
         self.shared: dict[Address, Any] = {
             table[name]: value for name, value in program.globals
         }
+        self.shared_owned = True
+        self.skey: tuple | None = None
 
     def clone(self) -> "_ScState":
         c = _ScState.__new__(_ScState)
         c.plan = self.plan
+        c.gates = self.gates
         c.pcs = list(self.pcs)
         c.locals = list(self.locals)
         c.lkeys = list(self.lkeys)
-        c.owned = self.owned = 0  # every locals map is shared from now on
-        c.shared = dict(self.shared)
+        c.owned = self.owned = 0  # every part is shared from now on
+        c.shared = self.shared
+        c.shared_owned = self.shared_owned = False
+        c.skey = self.skey
         return c
 
     def _own_locals(self, t: int) -> dict[str, Any]:
@@ -662,12 +800,24 @@ class _ScState:
         self.lkeys[t] = None
         return locals_
 
+    def _own_shared(self) -> dict[Address, Any]:
+        """The store, ready to be changed in place, as :meth:`_own_locals`."""
+        shared = self.shared
+        if not self.shared_owned:
+            shared = self.shared = shared.copy()
+            self.shared_owned = True
+        self.skey = None
+        return shared
+
     def key(self) -> tuple:
         lkeys = self.lkeys
         for t, part in enumerate(lkeys):
             if part is None:
                 lkeys[t] = tuple(sorted(self.locals[t].items()))
-        return (tuple(self.pcs), tuple(lkeys), tuple(sorted(self.shared.items())))
+        skey = self.skey
+        if skey is None:
+            skey = self.skey = tuple(sorted(self.shared.items()))
+        return (tuple(self.pcs), tuple(lkeys), skey)
 
     def _enabled(self, op: tuple) -> bool:
         pcs = self.pcs
@@ -682,23 +832,38 @@ class _ScState:
         ]
 
     def settle(self) -> None:
-        """Run every enabled REL/ACQ in place, until none is left.
+        """Run in place, until none is left, every enabled REL/ACQ and
+        every memory operation no other thread can interact with.
 
         A sync op only increments its own thread's event counter: that can
-        enable another thread's acquire but can disable or change nothing,
-        so it commutes with every other step.
+        enable another thread's acquire but can disable or change nothing.
+        A memory operation is always enabled, and runs once every other
+        unfinished thread is past its horizon: none of them has an access
+        left that could read what it writes or write what it reads. Either
+        kind commutes with every step it is moved across (see the module
+        docstring).
         """
-        pcs = self.pcs
-        progress = True
-        while progress:
-            progress = False
-            for t, ops in enumerate(self.plan):
-                pc = pcs[t]
-                while pc < len(ops) and ops[pc][0] not in _PRIVATE and self._enabled(ops[pc]):
-                    pc += 1  # all that step() does for a sync op
-                if pc != pcs[t]:
-                    pcs[t] = pc
-                    progress = True
+        plan, gates, pcs = self.plan, self.gates, self.pcs
+        n = len(gates)
+        t = idle = 0
+        while idle < n:  # stop once every thread was found stuck in a row
+            gate = gates[t]
+            pc = start = pcs[t]
+            end = len(gate)
+            while pc < end:
+                for u, need in gate[pc]:
+                    if pcs[u] < need:
+                        break
+                else:
+                    if plan[t][pc][0] in _MEMORY:
+                        self.step(t)
+                    else:
+                        pcs[t] = pc + 1  # all that step() does for a sync op
+                    pc += 1
+                    continue
+                break
+            idle = 1 if pc != start else idle + 1
+            t = t + 1 if t + 1 < n else 0
 
     def step(self, t: int) -> None:
         """Run thread ``t``'s next operation in place."""
@@ -712,10 +877,10 @@ class _ScState:
             _, addr, cell, expr, _ = op
             locals_ = self.locals[t]
             addr = addr or locals_[cell]
-            self.shared[addr] = eval_expr(expr, locals_)
+            self._own_shared()[addr] = eval_expr(expr, locals_)
         elif kind == _ALLOC:
             _, addr, into, _ = op
-            self.shared[addr] = None
+            self._own_shared()[addr] = None
             self._own_locals(t)[into] = addr
         # Under the flat model a sync event only advances the counter an
         # acquire waits on, which is the pc; no payload moves because
@@ -737,8 +902,9 @@ def enumerate_sc(
     """All outcomes of the same script over a single shared store.
 
     Enabled REL/ACQ ops run eagerly, since they only advance their own
-    thread's event counter; the search interleaves the memory operations
-    alone.
+    thread's event counter, and so does each memory operation that no
+    other thread's remaining accesses can interact with; the search
+    interleaves the rest.
     """
     return _explore(_ScState(program), program, max_states)
 

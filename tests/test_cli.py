@@ -39,7 +39,7 @@ def test_check_reports_a_deterministic_verdict(capsys):
     assert code == 0
     assert report["program"] == ["swap"]
     assert report["dc_outcomes"] == ["1"]
-    assert report["dc_states"] == ["14"]
+    assert report["dc_states"] == ["2"]
     assert report["dc_outcome"] == ["STATE x=2 y=1"]
     assert report["trials"] == ["3"]
     assert report["trial_outcome"] == ["STATE x=2 y=1"]
@@ -112,7 +112,7 @@ def test_oracle_output_is_stable_across_invocations(capsys):
 
 
 def test_oracle_state_budget_exits_with_limit_code(capsys):
-    code, _, err = run_cli(capsys, "oracle", "swap", "--max-states", "5")
+    code, _, err = run_cli(capsys, "oracle", "swap", "--max-states", "1")
     assert code == 4
     assert "state budget" in err
 
