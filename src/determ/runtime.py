@@ -9,15 +9,18 @@ Every construct here is sugar for release/acquire patterns:
   down) whose final member states are byte-identical to the logical
   everyone-releases-to-everyone form; the pairwise form stays available
   as ``algorithm="pairwise"`` so the two can be checked against each
-  other.
+  other. Either form is a plan of release-set and acquire-set steps
+  that one loop runs; rank 0 folds reductions once it holds every
+  member's raw accumulator, just before its first release after an
+  acquire.
 * ordered regions: a chain of handoff channels through iteration space,
   so section i runs only after section i-1 released.
-* reductions: thread-private accumulator cells folded over a fixed
-  binary tree of ranks at the next barrier or join; the fold absorbs the
-  reduction variable's current value as its leftmost operand and the
-  folder writes the result back with a fresh stamp, so fold points
-  compound and any other write to the variable under a live team is
-  rejected.
+* reductions: thread-private accumulator cells that rank 0 of a barrier,
+  or the joining parent, reads raw and folds through ``_fold_partials``
+  over a fixed binary tree of ranks; the fold absorbs the reduction
+  variable's current value as its leftmost operand and the folder writes
+  the result back with a fresh stamp, so fold points compound and any
+  other write to the variable under a live team is rejected.
 * tasks: each task is a fresh logical thread; the spawn release gives it
   a snapshot isolated at spawn time, and its terminal release carries the
   result to whichever single waiter claims the handle.
@@ -129,11 +132,11 @@ class StaticSchedule:
 
 
 class _Step(NamedTuple):
+    """One planned sync event: a release set or an acquire set."""
+
     kind: str  # "rel" | "acq"
-    phase: str  # "up" | "down"
-    partner_rank: int
     mine: SyncLabel
-    partner: SyncLabel
+    partners: tuple[SyncLabel, ...]
 
 
 def _tree_pairs(n: int) -> list[tuple[int, int, int]]:
@@ -166,25 +169,32 @@ def plan_tree_barrier(
         rel = SyncLabel(tids[hi], seqs[hi])
         seqs[lo] += 1
         acq = SyncLabel(tids[lo], seqs[lo])
-        steps[hi].append(_Step("rel", "up", lo, rel, acq))
-        steps[lo].append(_Step("acq", "up", hi, acq, rel))
+        steps[hi].append(_Step("rel", rel, (acq,)))
+        steps[lo].append(_Step("acq", acq, (rel,)))
     for _, lo, hi in reversed(pairs):
         seqs[lo] += 1
         rel = SyncLabel(tids[lo], seqs[lo])
         seqs[hi] += 1
         acq = SyncLabel(tids[hi], seqs[hi])
-        steps[lo].append(_Step("rel", "down", hi, rel, acq))
-        steps[hi].append(_Step("acq", "down", lo, acq, rel))
+        steps[lo].append(_Step("rel", rel, (acq,)))
+        steps[hi].append(_Step("acq", acq, (rel,)))
     return steps, seqs
 
 
 @functools.lru_cache(maxsize=None)
-def _tree_template(n: int) -> tuple[tuple[tuple[_Step, ...], ...], tuple[int, ...]]:
+def _tree_template(
+    n: int,
+) -> tuple[tuple[tuple[tuple[str, int, int, int], ...], ...], tuple[int, ...]]:
     """``plan_tree_barrier`` for ``n`` ranks from all-zero counters: per
-    rank, its steps with seq offsets in place of seqs (and ranks in place
-    of tids), and the count of labels each rank consumes."""
+    rank, its steps as (kind, seq offset, partner rank, partner's seq
+    offset), since every tree step has one partner, and the count of
+    labels each rank consumes."""
     steps, seqs = plan_tree_barrier(range(n), dict.fromkeys(range(n), 0))
-    return tuple(tuple(steps[r]) for r in range(n)), tuple(seqs[r] for r in range(n))
+    template = tuple(
+        tuple((kind, mine.seq, *partner) for kind, mine, (partner,) in steps[r])
+        for r in range(n)
+    )
+    return template, tuple(seqs[r] for r in range(n))
 
 
 def plan_tree_rank(
@@ -197,13 +207,9 @@ def plan_tree_rank(
     me, base = tids[rank], seqs[rank]
     steps = [
         _Step(
-            kind,
-            phase,
-            pr,
-            SyncLabel(me, base + mine.seq),
-            SyncLabel(tids[pr], seqs[pr] + partner.seq),
+            kind, SyncLabel(me, base + off), (SyncLabel(tids[pr], seqs[pr] + poff),)
         )
-        for kind, phase, pr, mine, partner in template[rank]
+        for kind, off, pr, poff in template[rank]
     ]
     return steps, {r: s + used[r] for r, s in seqs.items()}
 
@@ -213,23 +219,20 @@ def plan_pairwise_barrier(
 ) -> tuple[dict[int, list[_Step]], dict[int, int]]:
     """The quadratic reference form: everyone broadcasts to everyone.
 
-    Each member consumes exactly two labels: one release set, one acquire
-    set. Returned per-rank steps list the release first; acquire steps
-    are expanded per partner but share one label (a broadcast counts as a
-    single event).
+    Each member consumes exactly two labels: one release set to every
+    other member, then one acquire set from every other member. A team
+    of one has no partners, so its plan has no steps.
     """
     n = len(tids)
-    rel = {r: SyncLabel(tids[r], seqs[r] + 1) for r in range(n)}
-    acq = {r: SyncLabel(tids[r], seqs[r] + 2) for r in range(n)}
-    steps: dict[int, list[_Step]] = {}
-    for r in range(n):
-        mine = [
-            _Step("rel", "up", q, rel[r], acq[q]) for q in range(n) if q != r
-        ]
-        mine += [
-            _Step("acq", "down", q, acq[r], rel[q]) for q in range(n) if q != r
-        ]
-        steps[r] = mine
+    rel = [SyncLabel(tids[r], seqs[r] + 1) for r in range(n)]
+    acq = [SyncLabel(tids[r], seqs[r] + 2) for r in range(n)]
+    steps: dict[int, list[_Step]] = {r: [] for r in range(n)}
+    if n > 1:
+        for r in range(n):
+            steps[r] += [
+                _Step("rel", rel[r], tuple(acq[:r] + acq[r + 1 :])),
+                _Step("acq", acq[r], tuple(rel[:r] + rel[r + 1 :])),
+            ]
     return steps, {r: seqs[r] + 2 for r in range(n)}
 
 
@@ -285,9 +288,10 @@ class OrderedRegion:
         nthreads = team.size
         self._owner = {i: schedule.owner(i, nthreads) for i in range(self._n)}
         seqs = dict(ctx._counters)
-        # handoffs[i]: (release label of owner(i-1), acquire label of owner(i))
-        self._entry: dict[int, tuple[SyncLabel, SyncLabel]] = {}
-        self._exit: dict[int, tuple[SyncLabel, SyncLabel]] = {}
+        # The handoff into i: owner(i-1) releases on leaving i-1, owner(i)
+        # acquires on entering i.
+        self._entry: dict[int, _Step] = {}
+        self._exit: dict[int, _Step] = {}
         for i in range(1, self._n):
             prev, cur = self._owner[i - 1], self._owner[i]
             if prev == cur:
@@ -296,8 +300,8 @@ class OrderedRegion:
             rel = SyncLabel(team.members[prev], seqs[prev])
             seqs[cur] += 1
             acq = SyncLabel(team.members[cur], seqs[cur])
-            self._exit[i - 1] = (rel, acq)
-            self._entry[i] = (rel, acq)
+            self._exit[i - 1] = _Step("rel", rel, (acq,))
+            self._entry[i] = _Step("acq", acq, (rel,))
         ctx._counters = seqs
         self._last_done: int | None = None
 
@@ -316,16 +320,12 @@ class OrderedRegion:
             raise ConfigError("ordered sections must be entered in ascending order")
         entry = self._entry.get(i)
         if entry is not None:
-            rel, acq = entry
-            ctx._expect_label(acq, "ordered region")
-            ctx.ep.acquire(ctx.ws, rel)
+            ctx._take(entry, "ordered region")
         yield
         self._last_done = i
         exit_ = self._exit.get(i)
         if exit_ is not None:
-            rel, acq = exit_
-            ctx._expect_label(rel, "ordered region")
-            ctx.ep.release(ctx.ws, acq)
+            ctx._take(exit_, "ordered region")
 
 
 # ----------------------------------------------------------------------
@@ -500,17 +500,6 @@ class Runtime:
             raise RuntimeError("threads failed to settle")  # runtime bug guard
         self.registry.audit()
 
-    def wait_settled(self, tids: Sequence[int], waiter: int) -> None:
-        """Block until each tid has fully unwound (error reporting aid).
-
-        Errors are recorded strictly before a thread is marked done, so
-        once this returns every tid's error (if any) is readable. Waiting
-        merely for doomed would race: a doomed thread is still alive and
-        records its error only when its blocked acquire wakes up.
-        ``waiter``, the calling thread, counts as blocked meanwhile.
-        """
-        self.registry.wait_unwound(tids, timeout=_JOIN_TIMEOUT, waiter=waiter)
-
 
 class ThreadCtx:
     """One logical thread: its workspace, its endpoint, its team role."""
@@ -624,7 +613,9 @@ class ThreadCtx:
         try:
             self.ep.acquire_set(self.ws, partners)
         except DeadlockError:
-            self.rt.wait_settled(team.members, waiter=self.tid)
+            self.rt.registry.wait_unwound(
+                team.members, timeout=_JOIN_TIMEOUT, waiter=self.tid
+            )
             err = self._team_error(team)
             if err is not None:
                 raise err from None
@@ -683,6 +674,14 @@ class ThreadCtx:
                 f"next actual seq {self.ep.next_seq()}"
             )
 
+    def _take(self, step: _Step, what: str) -> None:
+        """Run one planned step, after checking it carries its label."""
+        self._expect_label(step.mine, what)
+        if step.kind == "rel":
+            self.ep.release_set(self.ws, step.partners)
+        else:
+            self.ep.acquire_set(self.ws, step.partners)
+
     def _setup_accumulators(self) -> None:
         team = self.team
         if team is None:
@@ -706,54 +705,32 @@ class ThreadCtx:
         self._collective_entry()
         if algorithm == "tree":
             steps, seqs = plan_tree_rank(team.members, self._counters, self.rank)
-            self._run_tree_round(steps, team)
         elif algorithm == "pairwise":
-            steps, seqs = plan_pairwise_barrier(team.members, self._counters)
-            self._run_pairwise_round(steps[self.rank], team)
+            plan, seqs = plan_pairwise_barrier(team.members, self._counters)
+            steps = plan[self.rank]
             if team.reductions:
                 # The flat form needs a second exchange to publish the fold.
-                steps2, seqs = plan_pairwise_barrier(team.members, seqs)
-                self._run_pairwise_round(steps2[self.rank], team, fold=False)
+                plan, seqs = plan_pairwise_barrier(team.members, seqs)
+                steps += plan[self.rank]
         else:
             raise ConfigError(f"unknown barrier algorithm {algorithm!r}")
+        fold = self.rank == 0 and bool(team.reductions)
+        pre = self._reduction_prestamps(team) if fold else {}
+        acquired = False
+        for step in steps:
+            if step.kind == "acq":
+                acquired = True
+            elif fold and acquired:
+                # Rank 0 now holds every member's accumulator: fold once,
+                # before anything flows back out.
+                self._fold_partials(team, pre)
+                fold = False
+            self._take(step, "barrier")
+        if fold:  # a team of one has no steps
+            self._fold_partials(team, pre)
         self._counters = seqs
         if team.reductions:
             self._reset_accumulators(team)
-
-    def _run_tree_round(self, steps: list[_Step], team: Team) -> None:
-        reductions = bool(team.reductions)
-        pre = self._reduction_prestamps(team) if self.rank == 0 else {}
-        for step in steps:
-            if step.kind == "rel":
-                if step.phase == "down" and self.rank == 0 and reductions:
-                    # Fold exactly once, before anything flows back down.
-                    self._fold_reductions(team, pre)
-                    reductions = False
-                self._expect_label(step.mine, "barrier")
-                self.ep.release(self.ws, step.partner)
-            else:
-                self._expect_label(step.mine, "barrier")
-                self.ep.acquire(self.ws, step.partner)
-                if step.phase == "up" and reductions:
-                    self._combine_from(team, step.partner_rank)
-        # A root with no down steps (team of one) still folds.
-        if self.rank == 0 and reductions:
-            self._fold_reductions(team, pre)
-
-    def _run_pairwise_round(
-        self, steps: list[_Step], team: Team, fold: bool = True
-    ) -> None:
-        pre = self._reduction_prestamps(team) if self.rank == 0 and fold else {}
-        rel_steps = [s for s in steps if s.kind == "rel"]
-        acq_steps = [s for s in steps if s.kind == "acq"]
-        if rel_steps:
-            self._expect_label(rel_steps[0].mine, "barrier")
-            self.ep.release_set(self.ws, [s.partner for s in rel_steps])
-        if acq_steps:
-            self._expect_label(acq_steps[0].mine, "barrier")
-            self.ep.acquire_set(self.ws, [s.partner for s in acq_steps])
-        if fold and self.rank == 0:
-            self._fold_partials(team, pre)
 
     def _reduction_prestamps(self, team: Team) -> dict[str, Any]:
         return {
@@ -785,8 +762,8 @@ class ThreadCtx:
 
     def _fold_partials(self, team: Team, pre: dict[str, Any]) -> None:
         """Fold every member's accumulator into each reduction variable,
-        over the rank tree; used where the folder holds all partials (a
-        join, a pairwise barrier)."""
+        over the rank tree; the folder (a joining parent, or rank 0 of a
+        barrier) holds every member's accumulator as written."""
         for idx, spec in enumerate(team.reductions):
             var_addr = self._check_fold_safe(spec, pre[spec.var])
             partials = [
@@ -794,22 +771,6 @@ class ThreadCtx:
             ]
             folded = spec.combine(
                 self.ws.read(var_addr), tree_fold(partials, spec.combine)
-            )
-            self._write_fold(var_addr, folded)
-
-    def _combine_from(self, team: Team, partner_rank: int) -> None:
-        for idx, spec in enumerate(team.reductions):
-            mine = self._acc_addrs[spec.var]
-            theirs = Address(team.members[partner_rank], idx + 1)
-            merged = spec.combine(self.ws.read(mine), self.ws.read(theirs))
-            self.write(mine, merged)
-
-    def _fold_reductions(self, team: Team, pre: dict[str, Any]) -> None:
-        # After the up phase the root's accumulators hold the full fold.
-        for spec in team.reductions:
-            var_addr = self._check_fold_safe(spec, pre[spec.var])
-            folded = spec.combine(
-                self.ws.read(var_addr), self.ws.read(self._acc_addrs[spec.var])
             )
             self._write_fold(var_addr, folded)
 
@@ -864,7 +825,9 @@ class ThreadCtx:
         try:
             self.ep.acquire(self.ws, handle.completion)
         except DeadlockError:
-            self.rt.wait_settled([handle.tid], waiter=self.tid)
+            self.rt.registry.wait_unwound(
+                (handle.tid,), timeout=_JOIN_TIMEOUT, waiter=self.tid
+            )
             err = self.rt.errors.get(handle.tid)
             if err is not None:
                 raise err from None

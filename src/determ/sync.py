@@ -76,8 +76,8 @@ class ChannelRegistry:
         # Guards everything below. Blocked claims sleep on slots built on
         # its lock, so only ``wait_unwound`` sleeps on ``_cond`` itself.
         self._cond = threading.Condition()
-        self._live: set[int] = set()  # registered, not yet done
-        self._done: set[int] = set()
+        # Registered, not yet done; a tid that leaves it is done.
+        self._live: set[int] = set()
         # Waiting tids that lack a named release and have no pending fault.
         self._blocked: set[int] = set()
         self._running = 0  # live tids not in _blocked
@@ -106,14 +106,13 @@ class ChannelRegistry:
 
     def register(self, tid: int) -> None:
         with self._cond:
-            if tid not in self._live and tid not in self._done:
+            if tid not in self._live:
                 self._live.add(tid)
                 if tid not in self._blocked:
                     self._running += 1
 
     def mark_done(self, tid: int) -> None:
         with self._cond:
-            self._done.add(tid)
             if tid in self._live:
                 self._live.remove(tid)
                 if tid not in self._blocked:
@@ -124,13 +123,15 @@ class ChannelRegistry:
     def wait_unwound(
         self, tids: Iterable[int], timeout: float | None = None, waiter: int | None = None
     ) -> bool:
-        """Block until every tid is done; True if that happened.
+        """Block until no tid is live any more; True if that happened.
 
         Waiting for doomed is not enough: a doomed thread is still
         unwinding and may not have recorded its error yet, so anyone about
-        to read per-thread errors must wait for done. ``waiter``, the
-        caller's own tid, does not count as running meanwhile, so a
-        thread it waits for that blocks again can still be doomed.
+        to read per-thread errors must wait for done. A tid never
+        registered counts as done, so wait only on launched ones.
+        ``waiter``, the caller's own tid, does not count as running
+        meanwhile, so a thread it waits for that blocks again can still
+        be doomed.
         """
         wanted = tuple(tids)
         with self._cond:
@@ -140,7 +141,7 @@ class ChannelRegistry:
                 self._doom_if_quiescent()
             try:
                 return self._cond.wait_for(
-                    lambda: all(t in self._done for t in wanted), timeout=timeout
+                    lambda: self._live.isdisjoint(wanted), timeout=timeout
                 )
             finally:
                 if paused:

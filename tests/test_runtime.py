@@ -93,10 +93,11 @@ def test_barrier_plans_pair_every_channel_exactly_once(planner, n):
     for rank, mine in steps.items():
         for step in mine:
             assert step.mine.thread == tids[rank]
-            if step.kind == "rel":
-                releases.setdefault(step.mine, set()).add(step.partner)
-            else:
-                acquires[(step.mine, step.partner)] = rank
+            for partner in step.partners:
+                if step.kind == "rel":
+                    releases.setdefault(step.mine, set()).add(partner)
+                else:
+                    acquires[(step.mine, partner)] = rank
     # Every acquire step names a planned release aimed right back at it.
     for (acq, rel), rank in acquires.items():
         assert acq in releases[rel]
@@ -624,6 +625,38 @@ def test_barrier_reduction_rounds_compound(algorithm):
     rt.finish()
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_every_construct_folds_over_the_same_tree(n):
+    # A combine that is not associative shows the fold's shape: barriers
+    # of both forms and a join must all give the variable's current value
+    # combined with the adjacent-pairing fold of the members' partials.
+    def combine(a, b):
+        return f"({a}{b})"
+
+    red = Reduction("s", "", combine)
+    tags = [chr(ord("a") + r) for r in range(n)]
+    expected = combine("x", tree_fold([combine("", t) for t in tags], combine))
+    got = {}
+    for algorithm in ("tree", "pairwise"):
+        rt = Runtime({"s": "x"})
+        seen = [None] * n
+
+        def body(ctx):
+            ctx.contribute("s", tags[ctx.rank])
+            ctx.barrier(algorithm=algorithm)
+            seen[ctx.rank] = ctx.read("s")
+
+        rt.root().fork_join([body] * n, [red])
+        assert seen == [seen[0]] * n
+        got[algorithm] = seen[0]
+        rt.finish()
+    rt = Runtime({"s": "x"})
+    rt.root().fork_join([lambda ctx: ctx.contribute("s", tags[ctx.rank])] * n, [red])
+    got["join"] = rt.root().read("s")
+    rt.finish()
+    assert got == dict.fromkeys(["tree", "pairwise", "join"], expected)
+
+
 def test_writing_the_reduction_variable_inside_region_is_rejected():
     rt = Runtime({"total": 0})
 
@@ -886,6 +919,29 @@ def test_waited_tasks_leave_no_bookkeeping():
         handle = root.spawn_task(lambda ctx, k=k: k)
         assert root.taskwait(handle) == k
     assert rt._spawned_by == {}
+    rt.finish()
+
+
+def test_finished_threads_leave_the_registry_lifecycle_sets():
+    rt = Runtime({"total": 0})
+    root = rt.root()
+    reg = rt.registry
+
+    def sizes():
+        return {k: len(v) for k, v in vars(reg).items() if isinstance(v, set)}
+
+    before = sizes()
+    for k in range(200):
+        assert root.taskwait(root.spawn_task(lambda ctx, k=k: k)) == k
+    for _ in range(50):
+        root.fork_join(
+            [lambda ctx: ctx.contribute("total", 1)] * 4,
+            [Reduction("total", 0, operator.add)],
+        )
+    assert root.read("total") == 200
+    # A terminal release comes before its thread is marked done.
+    assert reg.wait_unwound(range(1, rt._next_tid), timeout=10.0)
+    assert sizes() == before
     rt.finish()
 
 
