@@ -52,10 +52,30 @@ order may change what either does:
   WRITE ``g``, and WRITE ``g`` with any access to ``g``. Only ALLOC
   makes addresses, so an access through a local reaches allocated cells
   alone: it conflicts with every other access through a local and with
-  every ALLOC.
+  every ALLOC. An inert READ (below) conflicts with nothing.
+
+The shared-store model also prunes by liveness (Bozga, Fernandez &
+Ghirvu, SAS 1999). A local of thread ``t`` is live at a pc when some op
+of ``t`` from that pc on reads it before binding it again; an op reads
+the local its cell is reached through, and a WRITE also the locals of
+its expression. :func:`_liveness` computes this once per enumeration.
+Two states that agree on every pc, on the store and on every live local
+reach the same outcomes: an op reads live locals alone, whether it is
+enabled depends on the pcs alone, and an outcome, the final store or the
+blocked set, reads no local at all. So ``settle`` drops each thread's
+dead locals before the key is taken, and states that differ only in
+dead values merge. A READ whose local is dead right after it is
+*inert*: all it changes of the pcs, the store and the live locals is its
+own pc. It is always enabled, and run in either order with any other
+step it leaves states that agree on all three; so it joins no conflict
+pool, has an empty horizon and settles at once. The unreduced explorer
+never settles, so it keeps every local and stays the reference. The
+paired-channel model keeps every local: its reads conflict with nothing
+already.
 
 What is left to interleave is what can interact: sync events that share
-a channel, and memory operations that share a cell.
+a channel, and memory operations that share a cell, a READ among them
+only when the value it binds is used.
 
 :func:`_decode` sums up each op's conflicts once per enumeration as its
 horizon: for every other thread that holds ops it conflicts with, the
@@ -72,8 +92,8 @@ alone owns it; the parent gives up ownership at the clone, so neither
 can change what the other sees. Each part caches its share of the dedup
 key, and a paired-channel thread also its release snapshot; a copy
 starts with empty caches and an owned part clears them before every
-change. The ops are decoded once per enumeration, with the
-labels, stamps and addresses they mint.
+change. The ops are decoded once per enumeration (:func:`_ops`), with
+the labels, stamps and addresses they mint.
 
 :func:`run_on_runtime` executes the program on :class:`Runtime`, the
 same executor library programs run on, under a seeded schedule
@@ -110,6 +130,7 @@ from .script import (
     ScriptProgram,
     WriteOp,
     eval_expr,
+    expr_locals,
     parse_script,
 )
 from .store import (
@@ -243,7 +264,7 @@ def _check_limits(program: ScriptProgram) -> None:
 # programs decoded once per enumeration
 # ----------------------------------------------------------------------
 
-# Kinds of decoded operations; see _decode.
+# Kinds of decoded operations; see _ops.
 _READ, _WRITE, _ALLOC, _REL, _ACQ = range(5)
 # The ops that can conflict: sync events in the paired-channel model,
 # memory operations in the shared-store model.
@@ -257,40 +278,26 @@ _Plan = tuple[tuple[tuple, ...], ...]
 # an op the op conflicts with, pc being the first pc of u past all of them.
 _Horizons = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
+# Per thread, per pc up to its end: the locals live there.
+_Live = tuple[tuple[frozenset[str], ...], ...]
 
-def _decode(
-    program: ScriptProgram, kinds: tuple[int, ...], conflict
-) -> tuple[_Plan, _Horizons]:
-    """Every thread's ops as flat tuples, decoded once per enumeration,
-    and each op's horizon under the model's ``conflict`` rule, which
-    relates ops of ``kinds`` alone (other ops get an empty horizon).
 
-    What an op mints depends on its position alone: thread ``t``'s k-th
-    write or allocation is stamped ``VersionStamp(t, k)``, its k-th
-    allocation takes its k-th slot and its k-th sync event is labelled
-    ``SyncLabel(t, k)``. So stamps, addresses and labels are built here,
-    not on every state. The tuples are::
-
-        (_READ, global address or None, cell, into)
-        (_WRITE, global address or None, cell, expr, stamp)
-        (_ALLOC, address, into, stamp)
-        (_REL, label, partners, frozenset(partners))
-        (_ACQ, label, frozenset(partners), sorted(partners), waits)
-
-    A cell that is not a global is resolved through the thread's locals
-    when the op runs. ``waits`` serves the shared-store model: one
-    ``(u, pc)`` per partner ``(u, k)``, where ``pc`` is the first pc of
-    thread ``u`` past its k-th sync event (past its last op if it has
-    fewer).
-    """
-    plan = _ops(program)
-    # per thread: (first pc past it, op) for each op of kinds, last first
+def _decode(plan: _Plan, pooled: Sequence[Sequence[bool]], conflict) -> _Horizons:
+    """Each op's horizon under the model's ``conflict`` rule, computed
+    once per enumeration. ``pooled[t][pc]`` says whether thread ``t``'s
+    op at ``pc`` joins the conflict pool; an op outside it conflicts with
+    nothing and gets an empty horizon."""
+    # per thread: (first pc past it, op) for each pooled op, last first
     backwards = [
-        [(pc, op) for pc, op in enumerate(ops, 1) if op[0] in kinds][::-1] for ops in plan
+        [(pc, op) for pc, (op, joins) in enumerate(zip(ops, pool), 1) if joins][::-1]
+        for ops, pool in zip(plan, pooled)
     ]
-    return plan, tuple(
-        tuple(_horizon(backwards, t, op, conflict) if op[0] in kinds else () for op in ops)
-        for t, ops in enumerate(plan)
+    return tuple(
+        tuple(
+            _horizon(backwards, t, op, conflict) if joins else ()
+            for op, joins in zip(ops, pool)
+        )
+        for t, (ops, pool) in enumerate(zip(plan, pooled))
     )
 
 
@@ -304,6 +311,32 @@ def _horizon(backwards: list, t: int, op: tuple, conflict) -> tuple[tuple[int, i
                 if conflict(op, other):
                     out.append((u, pc))
                     break
+    return tuple(out)
+
+
+def _liveness(plan: _Plan) -> _Live:
+    """Per thread, per pc up to and including its end, the locals that
+    are live there: read by some op from that pc on before it binds them
+    again. An op reads the local a cell is reached through, and a
+    WRITE also reads its expression's locals; a READ binds its target
+    and an ALLOC its handle. Nothing is live at a thread's end."""
+    out = []
+    for ops in plan:
+        live: set[str] = set()
+        at = [frozenset()]
+        for op in reversed(ops):
+            kind = op[0]
+            if kind == _ALLOC:
+                live.discard(op[2])
+            elif kind in (_READ, _WRITE):
+                if kind == _READ:
+                    live.discard(op[3])
+                else:
+                    live.update(expr_locals(op[3]))
+                if op[1] is None:  # the cell is reached through a local
+                    live.add(op[2])
+            at.append(frozenset(live))
+        out.append(tuple(reversed(at)))
     return tuple(out)
 
 
@@ -332,7 +365,26 @@ def _sc_conflict(a: tuple, b: tuple) -> bool:
 
 
 def _ops(program: ScriptProgram) -> _Plan:
-    """The op tuples of :func:`_decode`."""
+    """Every thread's ops as flat tuples, decoded once per enumeration.
+
+    What an op mints depends on its position alone: thread ``t``'s k-th
+    write or allocation is stamped ``VersionStamp(t, k)``, its k-th
+    allocation takes its k-th slot and its k-th sync event is labelled
+    ``SyncLabel(t, k)``. So stamps, addresses and labels are built here,
+    not on every state. The tuples are::
+
+        (_READ, global address or None, cell, into)
+        (_WRITE, global address or None, cell, expr, stamp)
+        (_ALLOC, address, into, stamp)
+        (_REL, label, partners, frozenset(partners))
+        (_ACQ, label, frozenset(partners), sorted(partners), waits)
+
+    A cell that is not a global is resolved through the thread's locals
+    when the op runs. ``waits`` serves the shared-store model: one
+    ``(u, pc)`` per partner ``(u, k)``, where ``pc`` is the first pc of
+    thread ``u`` past its k-th sync event (past its last op if it has
+    fewer).
+    """
     table = global_addresses(name for name, _ in program.globals)
     # per thread: the first pc past its k-th sync event, at index k
     passed = [
@@ -392,7 +444,7 @@ class _SimThread:
     """One thread of a paired-channel state.
 
     Its write counter, allocation count and sync count are not kept: they
-    follow from ``pc`` and ``status`` (see :func:`_decode`). ``_snap``
+    follow from ``pc`` and ``status`` (see :func:`_ops`). ``_snap``
     and ``_key`` cache :meth:`snapshot` and :meth:`key`; only the owning
     state changes a thread, and it clears both first.
     """
@@ -454,7 +506,9 @@ class _DcState:
     )
 
     def __init__(self, program: ScriptProgram):
-        self.plan, self.horizons = _decode(program, _SYNC, _dc_conflict)
+        self.plan = _ops(program)
+        pooled = [[op[0] in _SYNC for op in ops] for ops in self.plan]
+        self.horizons = _decode(self.plan, pooled, _dc_conflict)
         table = global_addresses(name for name, _ in program.globals)
         seed = {
             table[name]: (INITIAL, value) for name, value in program.globals
@@ -746,18 +800,33 @@ def enumerate_dc(
 
 class _ScState:
     """A shared-store state. A thread's event counter is not kept: it
-    follows from its pc (see :func:`_decode`). Per-thread locals, and
+    follows from its pc (see :func:`_ops`). Per-thread locals, and
     the store, are shared with the state this one was cloned from until
     :meth:`_own_locals` or :meth:`_own_shared` copies them; ``lkeys``
     caches each thread's part of the key and ``skey`` the store's, None
-    once it may be stale."""
+    once it may be stale. A settled state keeps only the live locals of
+    each thread (see :meth:`settle`)."""
 
     __slots__ = (
-        "plan", "gates", "pcs", "locals", "lkeys", "owned", "shared", "shared_owned", "skey"
+        "plan", "steps", "gates", "live", "pcs", "locals", "lkeys", "owned", "shared",
+        "shared_owned", "skey",
     )
 
     def __init__(self, program: ScriptProgram):
-        self.plan, horizons = _decode(program, _MEMORY, _sc_conflict)
+        self.plan = _ops(program)
+        self.live = _liveness(self.plan)
+        # per thread, per pc: True for a memory operation whose effect is
+        # kept, which joins the conflict pool and which settling runs;
+        # False for a REL, an ACQ or an inert READ, which settling only
+        # moves the pc past
+        self.steps = tuple(
+            tuple(
+                op[0] in _MEMORY and not (op[0] == _READ and op[3] not in live[pc + 1])
+                for pc, op in enumerate(ops)
+            )
+            for ops, live in zip(self.plan, self.live)
+        )
+        horizons = _decode(self.plan, self.steps, _sc_conflict)
         # per thread, per pc: the ((u, pc), ...) that settling the op
         # waits for, each thread u to reach pc: an ACQ's partner events,
         # a memory operation's horizon, nothing for a REL
@@ -780,7 +849,9 @@ class _ScState:
     def clone(self) -> "_ScState":
         c = _ScState.__new__(_ScState)
         c.plan = self.plan
+        c.steps = self.steps
         c.gates = self.gates
+        c.live = self.live
         c.pcs = list(self.pcs)
         c.locals = list(self.locals)
         c.lkeys = list(self.lkeys)
@@ -832,18 +903,20 @@ class _ScState:
         ]
 
     def settle(self) -> None:
-        """Run in place, until none is left, every enabled REL/ACQ and
-        every memory operation no other thread can interact with.
+        """Run in place, until none is left, every enabled REL/ACQ,
+        every inert READ and every memory operation no other thread can
+        interact with; then drop every thread's dead locals.
 
         A sync op only increments its own thread's event counter: that can
         enable another thread's acquire but can disable or change nothing.
-        A memory operation is always enabled, and runs once every other
-        unfinished thread is past its horizon: none of them has an access
-        left that could read what it writes or write what it reads. Either
-        kind commutes with every step it is moved across (see the module
-        docstring).
+        An inert READ binds a local no later op reads, so running it only
+        moves the pc. A memory operation is always enabled, and runs once
+        every other unfinished thread is past its horizon: none of them
+        has an access left that could read what it writes or write what
+        it reads. Each kind commutes with every step it is moved across,
+        and no outcome depends on a dead local (see the module docstring).
         """
-        plan, gates, pcs = self.plan, self.gates, self.pcs
+        steps, gates, pcs = self.steps, self.gates, self.pcs
         n = len(gates)
         t = idle = 0
         while idle < n:  # stop once every thread was found stuck in a row
@@ -855,15 +928,21 @@ class _ScState:
                     if pcs[u] < need:
                         break
                 else:
-                    if plan[t][pc][0] in _MEMORY:
+                    if steps[t][pc]:
                         self.step(t)
                     else:
-                        pcs[t] = pc + 1  # all that step() does for a sync op
+                        pcs[t] = pc + 1  # all a sync op does; an inert READ binds a dead local
                     pc += 1
                     continue
                 break
             idle = 1 if pc != start else idle + 1
             t = t + 1 if t + 1 < n else 0
+        for t, (locals_, live) in enumerate(zip(self.locals, self.live)):
+            live = live[pcs[t]]
+            if not live.issuperset(locals_):
+                self.locals[t] = {k: v for k, v in locals_.items() if k in live}
+                self.owned |= 1 << t
+                self.lkeys[t] = None
 
     def step(self, t: int) -> None:
         """Run thread ``t``'s next operation in place."""
@@ -902,9 +981,10 @@ def enumerate_sc(
     """All outcomes of the same script over a single shared store.
 
     Enabled REL/ACQ ops run eagerly, since they only advance their own
-    thread's event counter, and so does each memory operation that no
-    other thread's remaining accesses can interact with; the search
-    interleaves the rest.
+    thread's event counter, and so do each READ whose value is never
+    used and each memory operation that no other thread's remaining
+    accesses can interact with; the search interleaves the rest. States
+    that differ only in values no op will read are one state.
     """
     return _explore(_ScState(program), program, max_states)
 

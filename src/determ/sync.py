@@ -75,6 +75,9 @@ class ChannelRegistry:
     def __init__(self) -> None:
         # Guards everything below. Blocked claims sleep on slots built on
         # its lock, so only ``wait_unwound`` sleeps on ``_cond`` itself.
+        # The per-event calls enter ``_cond._lock`` directly, read through
+        # ``_cond`` each time, so a condition swapped in after __init__
+        # still guards (and sees) every wait.
         self._cond = threading.Condition()
         # Registered, not yet done; a tid that leaves it is done.
         self._live: set[int] = set()
@@ -88,8 +91,8 @@ class ChannelRegistry:
         self._floating: dict[SyncLabel, Diff] = {}
         # claimed terminal release -> its acquire; the diff itself is dropped
         self._floating_claim: dict[SyncLabel, SyncLabel] = {}
-        # every deposit ever made: release label -> set of targets
-        self._rel_targets: dict[SyncLabel, set[SyncLabel]] = {}
+        # every deposit ever made: release label -> its targets
+        self._rel_targets: dict[SyncLabel, tuple[SyncLabel, ...]] = {}
         # executed acquires: acquire label -> the release labels it named
         self._claims: dict[SyncLabel, frozenset[SyncLabel]] = {}
         # tid -> its claim while in the wait loop
@@ -105,7 +108,7 @@ class ChannelRegistry:
     # ------------------------------------------------------------------
 
     def register(self, tid: int) -> None:
-        with self._cond:
+        with self._cond._lock:  # type: ignore[attr-defined]
             if tid not in self._live:
                 self._live.add(tid)
                 if tid not in self._blocked:
@@ -169,16 +172,16 @@ class ChannelRegistry:
         the releaser.
         """
         targets = tuple(targets)
-        with self._cond:
+        with self._cond._lock:  # type: ignore[attr-defined]
             if (
                 rel in self._rel_targets
                 or rel in self._floating
                 or rel in self._floating_claim
             ):
                 # Label reuse; cannot happen via endpoints.
-                prior = tuple(self._rel_targets.get(rel, ()))
+                prior = self._rel_targets.get(rel, ())
                 raise self._record("release", rel, prior + targets)
-            self._rel_targets[rel] = set(targets)
+            self._rel_targets[rel] = targets
             # A blocked acquire naming this release under a label outside
             # the target list means the two sides disagree on the pairing.
             for tid in self._naming.get(rel, ()):
@@ -201,7 +204,7 @@ class ChannelRegistry:
 
     def deposit_terminal(self, rel: SyncLabel, diff: Diff) -> None:
         """Stash a terminal release, claimable by its label alone."""
-        with self._cond:
+        with self._cond._lock:  # type: ignore[attr-defined]
             if rel in self._floating or rel in self._floating_claim:
                 raise self._record("release", rel, (rel, rel))
             self._floating[rel] = diff
@@ -215,22 +218,21 @@ class ChannelRegistry:
         every one is filled. Returns {release label: diff}. ``tid`` is
         ``acq.thread``, the thread that blocks."""
         named = frozenset(rels)
-        with self._cond:
+        with self._cond._lock:  # type: ignore[attr-defined]
             assert acq not in self._claims, "acquire labels never repeat"
             self._claims[acq] = named
             # Deposits already aimed at this label must all be named.
             pending = self._targeted.get(acq, {})
             if not named.issuperset(pending):
                 raise self._record("acquire", acq, tuple(named.union(pending)))
-            floating = self._floating
+            floating, claimed = self._floating, self._floating_claim
             missing = set()
             for rel in sorted(named):
-                err = self._claimed_elsewhere(acq, (rel,))
-                if err is not None:
-                    raise err
+                if rel in claimed:  # a terminal release another acquire took
+                    raise self._record("release", rel, (claimed[rel], acq))
                 aimed = self._rel_targets.get(rel)
                 if aimed and acq not in aimed and rel not in floating:
-                    raise self._record("release", rel, tuple(aimed) + (acq,))
+                    raise self._record("release", rel, aimed + (acq,))
                 if rel not in pending and rel not in floating:
                     missing.add(rel)
             if missing:
@@ -294,11 +296,14 @@ class ChannelRegistry:
         self._waiting[tid] = waiter
         for rel in waiter.named:
             self._naming.setdefault(rel, []).append(tid)
+        # Only a terminal release is claimed by label alone, so only one
+        # can be claimed elsewhere while this claim sleeps.
+        terminal = any(rel.seq == TERMINAL_SEQ for rel in waiter.named)
         timed_out = False
         try:
             while True:
                 err = self._wait_violation.pop(tid, None)
-                if err is None:
+                if err is None and terminal:
                     # Another acquire naming the same terminal release may
                     # have claimed it while this one slept: the same
                     # violation as finding it claimed on arrival.

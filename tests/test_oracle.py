@@ -131,6 +131,53 @@ def test_shared_store_state_counts_are_stable():
     assert enumerate_sc(load_corpus("swap")).states == 6
 
 
+def test_a_dead_read_racing_a_write_settles_at_once():
+    # v is never read, so the READ is inert: it no longer waits for the
+    # WRITE, nor the WRITE for it, and the value it binds leaves the key.
+    # Read back, the same READ must still be interleaved with the WRITE.
+    dead = parse_script("GLOBAL x 0\nTHREAD 0\nREAD x v\nTHREAD 1\nWRITE x 1\n")
+    live = parse_script("GLOBAL x 0\nGLOBAL y 0\nTHREAD 0\nREAD x v\nWRITE y v\nTHREAD 1\nWRITE x 1\n")
+    assert _unreduced(enumerate_sc, dead).states == 5
+    assert enumerate_sc(dead).states == 1
+    assert [o.text for o in enumerate_sc(dead).outcomes] == ["STATE x=1"]
+    assert enumerate_sc(live).states == 3
+    assert [o.text for o in enumerate_sc(live).outcomes] == ["STATE x=1 y=0", "STATE x=1 y=1"]
+    # Once the WRITE has used v, the two orders leave equal states that
+    # differ only in v's dead value, and they merge.
+    used = parse_script(
+        "GLOBAL x 0\nGLOBAL y 0\nTHREAD 0\nREAD x v\nWRITE y max(v, 5)\nTHREAD 1\nWRITE x 1\n"
+    )
+    assert enumerate_sc(used).states == 2
+    assert [o.text for o in enumerate_sc(used).outcomes] == ["STATE x=1 y=5"]
+
+
+def test_liveness_follows_reads_rebindings_handles_and_operands():
+    program = parse_script(
+        "GLOBAL g 0\n"
+        "THREAD 0\n"
+        "ALLOC p\n"  # binds the handle p
+        "READ g v\n"
+        "WRITE p v + 1\n"  # reads p to reach the cell, v as an operand
+        "READ g v\n"  # rebinds v: the first value is dead from here
+        "REL 1 1\n"
+        "WRITE g max(v, 2)\n"
+        "READ p w\n"  # w is never read: an inert READ
+        "THREAD 1\n"
+        "ALLOC q\n"
+        "READ q q\n"  # reads the cell through q, then rebinds q to a value
+        "ACQ 0 1\n"
+        "WRITE g q\n"
+    )
+    live = oracle._liveness(oracle._ops(program))
+    assert [set(names) for names in live[0]] == [
+        set(), {"p"}, {"p", "v"}, {"p"}, {"p", "v"}, {"p", "v"}, {"p"}, set()
+    ]
+    assert [set(names) for names in live[1]] == [set(), {"q"}, {"q"}, {"q"}, set()]
+    steps = oracle._ScState(program).steps
+    assert steps[0] == (True, True, True, True, False, True, False)
+    assert steps[1] == (True, True, False, True)
+
+
 @pytest.mark.parametrize("enumerate_fn", [enumerate_dc, enumerate_sc])
 @pytest.mark.parametrize("name", sorted(EXPECTED_DC))
 def test_reduction_keeps_every_corpus_outcome(name, enumerate_fn):
@@ -466,6 +513,73 @@ def test_reduced_enumeration_matches_the_reference(text):
     for enumerate_fn in (enumerate_dc, enumerate_sc):
         reduced = enumerate_fn(program)
         assert reduced.outcomes == _unreduced(enumerate_fn, program).outcomes
+
+
+@st.composite
+def _dead_read_scripts(draw):
+    """2-3 threads of at most 4 ops, most of them READs into a few names
+    that are rebound often and read back rarely, so most READs are dead.
+
+    Locals are tracked as the parser tracks them; only values read from
+    globals feed expressions, so every expression stays integer
+    arithmetic whatever the schedule. At most 9 ops keep the brute force
+    at a few thousand interleavings.
+    """
+    nthreads = draw(st.integers(2, 3))
+    body = [[] for _ in range(nthreads)]
+    nsync = [0] * nthreads
+    handles = [set() for _ in range(nthreads)]
+    values = [set() for _ in range(nthreads)]
+    for _ in range(draw(st.integers(2, 9))):
+        open_ = [t for t in range(nthreads) if len(body[t]) < 4]
+        if len(open_) < 2:
+            break
+        t = draw(st.sampled_from(open_))
+        kind = draw(st.sampled_from(("READ",) * 4 + ("WRITE",) * 2 + ("ALLOC", "PAIR")))
+        cells = sorted(handles[t]) + list(_GEN_GLOBALS)
+        if kind == "PAIR":
+            u = draw(st.sampled_from([u for u in open_ if u != t]))
+            nsync[t] += 1
+            nsync[u] += 1
+            body[t].append(f"REL {u} {nsync[u]}")
+            body[u].append(f"ACQ {t} {nsync[t]}")
+        elif kind == "ALLOC":
+            into = draw(st.sampled_from(("p", "q")))
+            handles[t].add(into)
+            values[t].discard(into)
+            body[t].append(f"ALLOC {into}")
+        elif kind == "READ":
+            cell = draw(st.sampled_from(cells))
+            # READ p p reaches the cell through p, then rebinds p
+            into = draw(st.sampled_from(("a", "b") + ((cell,) if cell in handles[t] else ())))
+            handles[t].discard(into)
+            values[t].discard(into)
+            if cell in _GEN_GLOBALS:
+                values[t].add(into)
+            body[t].append(f"READ {cell} {into}")
+        else:
+            cell = draw(st.sampled_from(cells))
+            if values[t] and draw(st.booleans()):
+                expr = f"{draw(st.sampled_from(sorted(values[t])))} + {draw(st.integers(1, 9))}"
+            else:
+                expr = str(draw(st.integers(0, 9)))
+            body[t].append(f"WRITE {cell} {expr}")
+    lines = ["GLOBAL g0 0", "GLOBAL g1 3"]
+    for t, ops in enumerate(body):
+        lines.append(f"THREAD {t}")
+        lines.extend(ops)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, **_GENERATED)
+@given(_dead_read_scripts())
+def test_dead_reads_keep_every_shared_store_outcome(text):
+    # Inert READs settle at once and dead locals leave the key; neither
+    # may lose or invent an outcome.
+    program = parse_script(text)
+    reduced = enumerate_sc(program)
+    assert reduced.outcomes == _unreduced(enumerate_sc, program).outcomes
+    assert {o.text for o in reduced.outcomes} == _brute_force_sc(program)
 
 
 @settings(max_examples=60, **_GENERATED)
