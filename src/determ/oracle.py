@@ -113,7 +113,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DataRaceError,
@@ -172,11 +172,6 @@ class Outcome:
 
     def __str__(self) -> str:
         return self.text
-
-
-def _reverse_names(program: ScriptProgram) -> dict[Address, str]:
-    table = global_addresses(name for name, _ in program.globals)
-    return {addr: name for name, addr in table.items()}
 
 
 def state_body(view: Mapping[Address, Any], rev: Mapping[Address, str]) -> str:
@@ -282,6 +277,15 @@ _Horizons = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 _Live = tuple[tuple[frozenset[str], ...], ...]
 
 
+class _Decoded(NamedTuple):
+    """What :func:`_ops` decodes: the plan, each global's initial value
+    by address, and each global's name by address."""
+
+    plan: _Plan
+    cells: dict[Address, Any]
+    rev: dict[Address, str]
+
+
 def _decode(plan: _Plan, pooled: Sequence[Sequence[bool]], conflict) -> _Horizons:
     """Each op's horizon under the model's ``conflict`` rule, computed
     once per enumeration. ``pooled[t][pc]`` says whether thread ``t``'s
@@ -364,8 +368,9 @@ def _sc_conflict(a: tuple, b: tuple) -> bool:
     return a[1] == b[1] and b[0] == _WRITE
 
 
-def _ops(program: ScriptProgram) -> _Plan:
-    """Every thread's ops as flat tuples, decoded once per enumeration.
+def _ops(program: ScriptProgram) -> _Decoded:
+    """Every thread's ops as flat tuples, decoded once per enumeration,
+    with the global table they were decoded against.
 
     What an op mints depends on its position alone: thread ``t``'s k-th
     write or allocation is stamped ``VersionStamp(t, k)``, its k-th
@@ -429,7 +434,11 @@ def _ops(program: ScriptProgram) -> _Plan:
             else:  # pragma: no cover - parser emits no other ops
                 raise AssertionError(op)
         plan.append(tuple(decoded))
-    return tuple(plan)
+    return _Decoded(
+        tuple(plan),
+        {table[name]: value for name, value in program.globals},
+        {addr: name for name, addr in table.items()},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -505,17 +514,12 @@ class _DcState:
         "plan", "horizons", "threads", "owned", "targeted", "rel_targets", "claims", "violations"
     )
 
-    def __init__(self, program: ScriptProgram):
-        self.plan = _ops(program)
+    def __init__(self, decoded: _Decoded):
+        self.plan = decoded.plan
         pooled = [[op[0] in _SYNC for op in ops] for ops in self.plan]
         self.horizons = _decode(self.plan, pooled, _dc_conflict)
-        table = global_addresses(name for name, _ in program.globals)
-        seed = {
-            table[name]: (INITIAL, value) for name, value in program.globals
-        }
-        self.threads = [
-            _SimThread(len(ops), dict(seed)) for ops in program.threads
-        ]
+        seed = {addr: (INITIAL, value) for addr, value in decoded.cells.items()}
+        self.threads = [_SimThread(len(ops), dict(seed)) for ops in self.plan]
         self.owned = (1 << len(self.threads)) - 1
         # acquire label -> {release label -> snapshot}; the inner maps are
         # replaced, never changed, so clones share them
@@ -577,17 +581,25 @@ class _DcState:
     def _acq_mode(self, op: tuple) -> str:
         """ready: all named releases deposited; error: the event would
         fault on a pairing check the moment it runs; blocked: otherwise."""
+        if self._acq_fault(op) is not None:
+            return "error"
+        if len(self.targeted.get(op[1], ())) == len(op[2]):
+            return "ready"
+        return "blocked"
+
+    def _acq_fault(self, op: tuple) -> PairingError | None:
+        """The pairing fault the ACQ ``op`` raises if it runs now: a
+        deposit aimed at it that it does not name, or a release it names
+        that is aimed elsewhere; None if there is none."""
         _, acq, named, ordered, _ = op
         pending = self.targeted.get(acq, {})
         if not pending.keys() <= named:
-            return "error"
+            return PairingError("acquire", acq, tuple(named.union(pending)))
         for rel in ordered:
             aimed = self.rel_targets.get(rel)
             if aimed and acq not in aimed:
-                return "error"
-        if len(pending) == len(named):
-            return "ready"
-        return "blocked"
+                return PairingError("release", rel, tuple(aimed) + (acq,))
+        return None
 
     # -- transition -------------------------------------------------------
 
@@ -682,16 +694,11 @@ class _DcState:
     def _acquire(self, t: int, th: _SimThread, op: tuple) -> None:
         _, acq, named, ordered, _ = op
         self.claims[acq] = named
-        pending = self.targeted.get(acq, {})
-        extras = pending.keys() - named
-        if extras:
-            self._fault(t, PairingError("acquire", acq, tuple(named | extras)))
+        err = self._acq_fault(op)
+        if err is not None:
+            self._fault(t, err)
             return
-        for rel in ordered:
-            aimed = self.rel_targets.get(rel)
-            if aimed and acq not in aimed:
-                self._fault(t, PairingError("release", rel, tuple(aimed) + (acq,)))
-                return
+        pending = self.targeted.get(acq, {})
         snaps = [pending[rel] for rel in ordered]
         self.targeted.pop(acq, None)
         for snap in snaps:
@@ -744,17 +751,18 @@ class _DcState:
 
 
 def _explore(
-    init: "_DcState | _ScState", program: ScriptProgram, max_states: int
+    model: "type[_DcState] | type[_ScState]", program: ScriptProgram, max_states: int
 ) -> EnumerationResult:
-    """Depth-first search over whole-operation interleavings from ``init``,
-    with state deduplication.
+    """Depth-first search over whole-operation interleavings from the
+    ``model``'s initial state of ``program``, with state deduplication.
 
     Every state is settled before its key is taken, so only the steps
     that can interact are interleaved; ``states`` counts distinct settled
     states.
     """
     _check_limits(program)
-    rev = _reverse_names(program)
+    decoded = _ops(program)
+    init = model(decoded)
     init.settle()
     seen = {init.key()}
     stack = [init]
@@ -763,7 +771,7 @@ def _explore(
         st = stack.pop()
         frontier = st.runnable()
         if not frontier:
-            outcomes.add(st.outcome(rev))
+            outcomes.add(st.outcome(decoded.rev))
             continue
         for t in frontier:
             nxt = st.clone()
@@ -790,7 +798,7 @@ def enumerate_dc(
     thread's remaining sync events can interact with; the search
     interleaves the rest.
     """
-    return _explore(_DcState(program), program, max_states)
+    return _explore(_DcState, program, max_states)
 
 
 # ----------------------------------------------------------------------
@@ -812,8 +820,8 @@ class _ScState:
         "shared_owned", "skey",
     )
 
-    def __init__(self, program: ScriptProgram):
-        self.plan = _ops(program)
+    def __init__(self, decoded: _Decoded):
+        self.plan = decoded.plan
         self.live = _liveness(self.plan)
         # per thread, per pc: True for a memory operation whose effect is
         # kept, which joins the conflict pool and which settling runs;
@@ -834,15 +842,12 @@ class _ScState:
             tuple(op[4] if op[0] == _ACQ else h for op, h in zip(ops, hs))
             for ops, hs in zip(self.plan, horizons)
         )
-        n = program.nthreads
-        table = global_addresses(name for name, _ in program.globals)
+        n = len(self.plan)
         self.pcs = [0] * n
         self.locals: list[dict[str, Any]] = [{} for _ in range(n)]
         self.lkeys: list[tuple | None] = [None] * n
         self.owned = (1 << n) - 1
-        self.shared: dict[Address, Any] = {
-            table[name]: value for name, value in program.globals
-        }
+        self.shared: dict[Address, Any] = dict(decoded.cells)
         self.shared_owned = True
         self.skey: tuple | None = None
 
@@ -986,7 +991,7 @@ def enumerate_sc(
     accesses can interact with; the search interleaves the rest. States
     that differ only in values no op will read are one state.
     """
-    return _explore(_ScState(program), program, max_states)
+    return _explore(_ScState, program, max_states)
 
 
 # ----------------------------------------------------------------------
@@ -1046,7 +1051,7 @@ def run_on_runtime(
         races,
         rt.registry.violations(),
         rt.registry.doomed(),
-        _reverse_names(program),
+        {addr: name for name, addr in names.items()},
         crashes,
     )
 

@@ -94,7 +94,6 @@ class TaskHandle:
     """Names one spawned task; must be waited exactly once."""
 
     tid: int
-    spawn: SyncLabel
     completion: SyncLabel
     result: Address
 
@@ -803,7 +802,6 @@ class ThreadCtx:
         spawn_label = SyncLabel(self.tid, self.ep.next_seq())
         handle = TaskHandle(
             tid=tid,
-            spawn=spawn_label,
             completion=SyncLabel(tid, TERMINAL_SEQ),
             result=Address(tid, 1),
         )

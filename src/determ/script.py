@@ -25,7 +25,7 @@ integer literals and locals with + - *, max(a, b) and parentheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .errors import ScriptError
 from .sync import SyncLabel

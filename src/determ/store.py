@@ -118,8 +118,6 @@ class VersionStamp(NamedTuple):
 #: real writes.
 INITIAL = VersionStamp(_INITIAL_WRITER, 0)
 
-#: Knowledge vector: writer thread id -> highest write seq observed.
-KnowledgeVector = dict
 
 def covers(knowledge: Mapping[int, int], stamp: VersionStamp) -> bool:
     """True when the write named by ``stamp`` is already known."""

@@ -26,10 +26,11 @@ registry lock. A deposit wakes only the acquires it fills, a fault only
 its acquire, a verdict only the doomed, so a satisfied acquire is woken
 once and nobody else is woken for it.
 
-Terminal releases are the one asymmetry. A thread's death diff is
-released under the reserved seq 0 with no target; whichever acquire later
-names that label claims it (exactly once). This lets a parent join on a
-child without knowing how many sync events the child performed.
+A thread's death diff is released under the reserved seq 0 with no
+target: whichever acquire names that label claims it, so a parent joins
+on a child without knowing how many sync events the child performed.
+The claim fixes the terminal's aim, as a deposit fixes an ordinary
+release's, so every other claim naming it faults the same way.
 """
 from __future__ import annotations
 
@@ -60,13 +61,24 @@ class SyncLabel(NamedTuple):
         return f"({self.thread},{self.seq})"
 
 
-class _Waiter(NamedTuple):
-    """One blocked claim: what it waits for and the slot it sleeps on."""
+class _Waiter:
+    """One claim in the wait loop: what it waits for, the slot it sleeps
+    on and the fault or doom its wait ends with, once recorded."""
 
-    acq: SyncLabel
-    named: frozenset[SyncLabel]
-    missing: set[SyncLabel]  # named releases not deposited yet
-    slot: threading.Condition
+    __slots__ = ("acq", "named", "missing", "slot", "fault")
+
+    def __init__(
+        self,
+        acq: SyncLabel,
+        named: frozenset[SyncLabel],
+        missing: set[SyncLabel],  # named releases not deposited yet
+        slot: threading.Condition,
+    ) -> None:
+        self.acq = acq
+        self.named = named
+        self.missing = missing
+        self.slot = slot
+        self.fault: DetermError | None = None
 
 
 class ChannelRegistry:
@@ -89,9 +101,7 @@ class ChannelRegistry:
         self._targeted: dict[SyncLabel, dict[SyncLabel, Diff]] = {}
         # terminal releases not yet claimed, by label
         self._floating: dict[SyncLabel, Diff] = {}
-        # claimed terminal release -> its acquire; the diff itself is dropped
-        self._floating_claim: dict[SyncLabel, SyncLabel] = {}
-        # every deposit ever made: release label -> its targets
+        # every deposit and claimed terminal: release label -> its targets
         self._rel_targets: dict[SyncLabel, tuple[SyncLabel, ...]] = {}
         # executed acquires: acquire label -> the release labels it named
         self._claims: dict[SyncLabel, frozenset[SyncLabel]] = {}
@@ -99,8 +109,6 @@ class ChannelRegistry:
         self._waiting: dict[int, _Waiter] = {}
         # release label -> tids in the wait loop whose claim names it
         self._naming: dict[SyncLabel, list[int]] = {}
-        # tid -> the fault or doom its wait ends with, once recorded
-        self._wait_violation: dict[int, DetermError] = {}
         self._violations: list[PairingError] = []
 
     # ------------------------------------------------------------------
@@ -173,21 +181,11 @@ class ChannelRegistry:
         """
         targets = tuple(targets)
         with self._cond._lock:  # type: ignore[attr-defined]
-            if (
-                rel in self._rel_targets
-                or rel in self._floating
-                or rel in self._floating_claim
-            ):
+            if rel in self._rel_targets or rel in self._floating:
                 # Label reuse; cannot happen via endpoints.
                 prior = self._rel_targets.get(rel, ())
                 raise self._record("release", rel, prior + targets)
-            self._rel_targets[rel] = targets
-            # A blocked acquire naming this release under a label outside
-            # the target list means the two sides disagree on the pairing.
-            for tid in self._naming.get(rel, ()):
-                acq = self._waiting[tid].acq
-                if acq not in targets:
-                    self._fault_waiter(tid, "release", rel, targets + (acq,))
+            self._aim(rel, targets)
             for target in targets:
                 waiter = self._waiting.get(target.thread)
                 if waiter is not None and waiter.acq != target:
@@ -205,7 +203,7 @@ class ChannelRegistry:
     def deposit_terminal(self, rel: SyncLabel, diff: Diff) -> None:
         """Stash a terminal release, claimable by its label alone."""
         with self._cond._lock:  # type: ignore[attr-defined]
-            if rel in self._floating or rel in self._floating_claim:
+            if rel in self._floating or rel in self._rel_targets:
                 raise self._record("release", rel, (rel, rel))
             self._floating[rel] = diff
             for tid in self._naming.get(rel, ()):
@@ -225,15 +223,12 @@ class ChannelRegistry:
             pending = self._targeted.get(acq, {})
             if not named.issuperset(pending):
                 raise self._record("acquire", acq, tuple(named.union(pending)))
-            floating, claimed = self._floating, self._floating_claim
             missing = set()
             for rel in sorted(named):
-                if rel in claimed:  # a terminal release another acquire took
-                    raise self._record("release", rel, (claimed[rel], acq))
                 aimed = self._rel_targets.get(rel)
-                if aimed and acq not in aimed and rel not in floating:
+                if aimed and acq not in aimed:
                     raise self._record("release", rel, aimed + (acq,))
-                if rel not in pending and rel not in floating:
+                if rel not in pending and rel not in self._floating:
                     missing.add(rel)
             if missing:
                 self._wait(tid, _Waiter(acq, named, missing, self._slot()))
@@ -244,10 +239,7 @@ class ChannelRegistry:
                     out[rel] = pending.pop(rel)
                 else:
                     out[rel] = self._floating.pop(rel)
-                    self._floating_claim[rel] = acq
-                    # Anyone else naming it faults on the claim it lost.
-                    for other in self._naming.get(rel, ()):
-                        self._wake(other)
+                    self._aim(rel, (acq,))
             if acq in self._targeted and not self._targeted[acq]:
                 del self._targeted[acq]
             return out
@@ -296,20 +288,11 @@ class ChannelRegistry:
         self._waiting[tid] = waiter
         for rel in waiter.named:
             self._naming.setdefault(rel, []).append(tid)
-        # Only a terminal release is claimed by label alone, so only one
-        # can be claimed elsewhere while this claim sleeps.
-        terminal = any(rel.seq == TERMINAL_SEQ for rel in waiter.named)
         timed_out = False
         try:
             while True:
-                err = self._wait_violation.pop(tid, None)
-                if err is None and terminal:
-                    # Another acquire naming the same terminal release may
-                    # have claimed it while this one slept: the same
-                    # violation as finding it claimed on arrival.
-                    err = self._claimed_elsewhere(waiter.acq, waiter.named)
-                if err is not None:
-                    raise err
+                if waiter.fault is not None:
+                    raise waiter.fault
                 if not waiter.missing:
                     return
                 if tid not in self._blocked:
@@ -320,7 +303,6 @@ class ChannelRegistry:
                     timed_out = True
         finally:
             self._wake(tid)
-            self._wait_violation.pop(tid, None)
             del self._waiting[tid]
             for rel in waiter.named:
                 naming = self._naming[rel]
@@ -356,29 +338,29 @@ class ChannelRegistry:
         if not self._running and self._blocked:
             self._doomed |= self._blocked
             for tid in tuple(self._blocked):
-                self._wait_violation[tid] = DeadlockError(tuple(self._doomed))
+                self._waiting[tid].fault = DeadlockError(tuple(self._doomed))
                 self._wake(tid)
 
     def _fault_waiter(
         self, tid: int, kind: str, contested: Any, claimants: tuple
     ) -> None:
-        """Record a violation for blocked ``tid`` to raise when it wakes;
+        """Record a violation for waiting ``tid`` to raise when it wakes;
         a waiter already holding one, or its doom, raises that alone."""
-        if tid not in self._wait_violation:
-            self._wait_violation[tid] = self._record(kind, contested, claimants)
+        waiter = self._waiting[tid]
+        if waiter.fault is None:
+            waiter.fault = self._record(kind, contested, claimants)
             self._wake(tid)
 
-    def _claimed_elsewhere(
-        self, acq: SyncLabel, rels: Iterable[SyncLabel]
-    ) -> PairingError | None:
-        """Record and return the violation for the lowest of ``rels`` whose
-        terminal release another acquire claimed."""
-        claimed = self._floating_claim
-        clash = [r for r in rels if r in claimed and claimed[r] != acq]
-        if not clash:
-            return None
-        rel = min(clash)
-        return self._record("release", rel, (claimed[rel], acq))
+    def _aim(self, rel: SyncLabel, targets: tuple[SyncLabel, ...]) -> None:
+        """Fix the acquires ``rel`` is aimed at, as its deposit or its
+        claim as a terminal does. A claim in the wait loop that names
+        ``rel`` under a label outside ``targets`` disagrees with it on the
+        pairing, and faults."""
+        self._rel_targets[rel] = targets
+        for tid in self._naming.get(rel, ()):
+            acq = self._waiting[tid].acq
+            if acq not in targets:
+                self._fault_waiter(tid, "release", rel, targets + (acq,))
 
 
 def _validate_partners(

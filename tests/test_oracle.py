@@ -168,12 +168,12 @@ def test_liveness_follows_reads_rebindings_handles_and_operands():
         "ACQ 0 1\n"
         "WRITE g q\n"
     )
-    live = oracle._liveness(oracle._ops(program))
+    live = oracle._liveness(oracle._ops(program).plan)
     assert [set(names) for names in live[0]] == [
         set(), {"p"}, {"p", "v"}, {"p"}, {"p", "v"}, {"p", "v"}, {"p"}, set()
     ]
     assert [set(names) for names in live[1]] == [set(), {"q"}, {"q"}, {"q"}, set()]
-    steps = oracle._ScState(program).steps
+    steps = oracle._ScState(oracle._ops(program)).steps
     assert steps[0] == (True, True, True, True, False, True, False)
     assert steps[1] == (True, True, False, True)
 
@@ -204,7 +204,7 @@ def _search(model, program, reduced):
     with pytest.MonkeyPatch.context() as mp:
         if not reduced:
             mp.setattr(model, "settle", _no_settle)
-        init = model(program)
+        init = model(oracle._ops(program))
         init.settle()
         seen = {init.key()}
         stack = [init]

@@ -220,21 +220,37 @@ def test_terminal_double_claim_payload_ignores_arrival_order():
 
 def test_loser_of_a_terminal_claim_is_not_doomed():
     # The winner pops the terminal diff and its thread finishes before
-    # the blocked loser wakes; the loser must raise the pairing error,
-    # not be counted among the deadlocked.
-    reg = ChannelRegistry()
-    for tid in (1, 2, 5):
-        reg.register(tid)
-    loser = run_async(lambda: reg.claim(lab(2, 1), [lab(5, 0)], tid=2))
-    wait_blocked(reg)
-    with reg._cond:  # the loser cannot wake until all three steps are done
-        reg.deposit_terminal(lab(5, 0), empty_diff())
-        reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
-        reg.mark_done(5)
-    with pytest.raises(PairingError) as info:
-        loser()
-    assert info.value.claimants == (lab(1, 1), lab(2, 1))
-    assert reg.doomed() == ()
+    # the blocked losers wake; each loser must raise the pairing error at
+    # once, not wait on or be counted among the deadlocked. One case per
+    # loop pass, so the test keeps its name: a loser alone, a loser still
+    # missing a release that running thread 3 never makes, two losers.
+    for losers in (
+        {2: [lab(5, 0)]},
+        {2: [lab(5, 0), lab(3, 1)]},
+        {2: [lab(5, 0)], 4: [lab(5, 0)]},
+    ):
+        reg = ChannelRegistry()
+        for tid in {1, 5, *losers, *(r.thread for rels in losers.values() for r in rels)}:
+            reg.register(tid)
+        results = {
+            tid: run_async(lambda t=tid, rels=rels: reg.claim(lab(t, 1), rels, tid=t))
+            for tid, rels in losers.items()
+        }
+        wait_blocked(reg, len(losers))
+        with reg._cond:  # no loser can wake until all three steps are done
+            reg.deposit_terminal(lab(5, 0), empty_diff())
+            reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
+            reg.mark_done(5)
+        expected = []
+        for tid, result in results.items():
+            with pytest.raises(PairingError) as info:
+                result()
+            expected.append(
+                _payload(PairingError("release", lab(5, 0), (lab(1, 1), lab(tid, 1))))
+            )
+            assert _payload(info.value) == expected[-1], losers
+        assert sorted(_payload(v) for v in reg.violations()) == sorted(expected)
+        assert reg.doomed() == ()
 
 
 def test_claimed_terminal_diff_is_dropped():
