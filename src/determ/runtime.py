@@ -520,7 +520,6 @@ class ThreadCtx:
         self.rank = rank if rank is not None else -1
         # Every member's first sync event is its birth acquire, seq 1.
         self._counters = {r: 1 for r in range(team.size)} if team else {}
-        self._acc_addrs: dict[str, Address] = {}
         self._hook = ep._hook
         self._names = rt.names
 
@@ -682,21 +681,19 @@ class ThreadCtx:
             self.ep.acquire_set(self.ws, step.partners)
 
     def _setup_accumulators(self) -> None:
-        team = self.team
-        if team is None:
-            return
-        for idx, spec in enumerate(team.reductions):
+        """Allocate member t's accumulator for reduction idx at
+        ``Address(t, idx + 1)``, where every reader computes it."""
+        for idx, spec in enumerate(self.team.reductions):
             addr = self.ws.alloc(spec.identity)
             assert addr == Address(self.tid, idx + 1)
-            self._acc_addrs[spec.var] = addr
 
     def contribute(self, var: str, value: Any) -> None:
         team = self._require_team()
-        spec = next((s for s in team.reductions if s.var == var), None)
-        if spec is None:
+        idx = next((i for i, s in enumerate(team.reductions) if s.var == var), None)
+        if idx is None:
             raise ConfigError(f"no reduction declared for {var!r}")
-        acc = self._acc_addrs[var]
-        self.write(acc, spec.combine(self.ws.read(acc), value))
+        acc = Address(self.tid, idx + 1)
+        self.write(acc, team.reductions[idx].combine(self.ws.read(acc), value))
 
     def barrier(self, algorithm: str = "tree") -> None:
         """One team-wide barrier round; folds pending reductions."""
@@ -774,8 +771,8 @@ class ThreadCtx:
             self._write_fold(var_addr, folded)
 
     def _reset_accumulators(self, team: Team) -> None:
-        for spec in team.reductions:
-            self.write(self._acc_addrs[spec.var], spec.identity)
+        for idx, spec in enumerate(team.reductions):
+            self.write(Address(self.tid, idx + 1), spec.identity)
 
     # -- ordered regions and loops -----------------------------------------
 

@@ -54,10 +54,13 @@ exception. A workspace drops a cell only when a retired writer stamped
 it and no thread that can still run holds it (a join drops its members'
 reduction accumulators), so every diff that could carry the address
 again comes from a thread that can no longer release, and a dropped
-address stays gone. Cells still carrying the initial stamp are the
-other exception, so a diff also carries a token for its sender's
-initial cells (the global name table); only a receiver whose token
-differs walks the shipped map for initial cells it does not hold.
+address stays gone. Cells still carrying the initial stamp would be the
+other exception, but workspaces that exchange diffs belong to one
+program: each is seeded with the program's globals, or empty until its
+first ``apply_diff`` adopts a whole diff. So every receiver that is not
+empty already holds every initial cell a diff can carry, and the store
+reads a whole cell map in two places only: the copy a release takes,
+and an empty receiver's copy of a diff.
 
 The index changes only when a cell changes writer, so a thread
 overwriting its own cells, or adopting a newer write by a cell's last
@@ -222,19 +225,14 @@ class Diff(NamedTuple):
 
     ``index`` groups the addresses of the cells of ``writes`` written by
     live writers, by writer; it is shared with the sender, which copies
-    it before it next changes it. ``table`` is the token for the
-    addresses that may carry the initial stamp in ``writes``: the
-    sender's global name table, or a frozenset of addresses once the
-    sender has merged initial cells from a different table. Both are
-    derived from ``writes``; no diff is ever changed, so the shared empty
-    defaults are safe. A named tuple, because one is built on every
+    it before it next changes it. No diff is ever changed, so the shared
+    empty default is safe. A named tuple, because one is built on every
     release.
     """
 
     sender_knowledge: dict[int, int]
     writes: dict[Address, Cell]
     index: CellIndex = {}
-    table: Mapping[str, Address] | frozenset[Address] | None = None
     retired: Retired = ()
     record: Record | None = None
 
@@ -252,7 +250,12 @@ def global_addresses(names: Iterable[str]) -> dict[str, Address]:
 
 
 class Workspace:
-    """Private store of one logical thread."""
+    """Private store of one logical thread.
+
+    Workspaces that exchange diffs belong to one program: each is either
+    seeded with the program's globals, or empty until its first
+    ``apply_diff`` adopts a whole diff.
+    """
 
     def __init__(
         self,
@@ -294,8 +297,6 @@ class Workspace:
         # The buckets of _index copied since the last release: only these
         # may change in place. None: a diff shares _index itself as well.
         self._private: CellIndex | None = {}
-        # Every address that may hold an initial cell here; all are held.
-        self._table: Mapping[str, Address] | frozenset[Address] | None = table
 
     @property
     def knowledge(self) -> dict[int, int]:
@@ -421,7 +422,6 @@ class Workspace:
             dict(self._live),
             dict(self.cells),
             self._index,
-            self._table,
             self._retired,
             self._record,
         )
@@ -432,12 +432,11 @@ class Workspace:
         Only the diff's buckets of live writers it knows further than
         this workspace are walked, and the recorded addresses of writers
         it knows retired and this workspace does not, and within them only
-        the cells this workspace lacks; the shipped map itself is walked
-        only for initial cells, and only when the two tables differ. The
-        conflicts alone are sorted by address, so a DataRaceError payload
-        is identical no matter which schedule produced it. On conflict the
-        workspace is left untouched. A fresh receiver has nothing to
-        defend and adopts the diff's cells by copy.
+        the cells this workspace lacks. The conflicts alone are sorted by
+        address, so a DataRaceError payload is identical no matter which
+        schedule produced it. On conflict the workspace is left untouched.
+        A fresh receiver has nothing to defend and adopts the diff's cells
+        by copy.
         """
         cells = self.cells
         mine = self._live
@@ -447,7 +446,6 @@ class Workspace:
             self.cells = dict(diff.writes)
             self._index = diff.index
             self._private = None
-            self._table = diff.table
             self._live = dict(theirs)
             self._learn_retired(diff, _retired_tids(diff.retired))
             return
@@ -515,9 +513,6 @@ class Workspace:
         if conflicts:
             conflicts.sort(key=attrgetter("addr"))
             raise DataRaceError(tuple(conflicts))
-        table = diff.table
-        if table is not self._table and table != self._table:
-            self._adopt_initial(writes)
         for writer, bucket, got, moved in groups:
             cells.update(got)
             if not moved:
@@ -550,25 +545,6 @@ class Workspace:
                 for writer in newly:
                     record.setdefault(writer, theirs[writer])
         self._retired = _merge_retired(self._retired, diff.retired)
-
-    def _adopt_initial(self, writes: Mapping[Address, Cell]) -> None:
-        """Adopt the initial cells of a diff from a different table.
-
-        Afterwards the table token is the set of addresses holding
-        initial cells here, so no other workspace's token matches it by
-        accident.
-        """
-        cells = self.cells
-        new = [
-            (addr, cell)
-            for addr, cell in writes.items()
-            if cell.stamp.writer == _INITIAL_WRITER and addr not in cells
-        ]
-        if new:
-            cells.update(new)
-            self._table = frozenset(
-                addr for addr, cell in cells.items() if cell.stamp.writer == _INITIAL_WRITER
-            )
 
     # ------------------------------------------------------------------
     # introspection helpers
@@ -622,13 +598,11 @@ class Workspace:
             indexed += len(bucket)
         for writer, bucket in (self._private or {}).items():
             assert self._index.get(writer) is bucket
-        table = self._table
-        initial_ok = set(table.values() if isinstance(table, Mapping) else table or ())
         written = 0
         for addr, cell in self.cells.items():
             writer = cell.stamp.writer
             if writer == _INITIAL_WRITER:
-                assert addr in initial_ok, f"initial cell {addr} outside the table"
+                assert addr.owner == ROOT_THREAD, f"initial cell {addr} outside the globals"
             elif _is_retired(retired, writer):
                 final = record[writer]
                 assert cell.stamp.seq <= final.seq and addr in final.cells, (
@@ -637,4 +611,3 @@ class Workspace:
             else:
                 written += 1
         assert written == indexed, "written cells missing from the index"
-        assert initial_ok <= self.cells.keys(), "table names an address not held"

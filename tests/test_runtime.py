@@ -796,6 +796,34 @@ def test_skipping_an_owned_section_surfaces_as_deadlock():
     rt.finish()
 
 
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_drift_inside_an_ordered_region_is_reported_by_both_members(seed):
+    rt = Runtime(seed=seed, delay=0.0005)
+
+    def body(ctx):
+        region = ctx.ordered_region(StaticSchedule(4, chunk=1))
+        # One matched exchange the region did not plan: each member's
+        # birth acquire was seq 1, so both labels are seq 2.
+        peer = ctx.team.members[1 - ctx.rank]
+        if ctx.rank == 0:
+            ctx.ep.release(ctx.ws, SyncLabel(peer, 2))
+        else:
+            ctx.ep.acquire(ctx.ws, SyncLabel(peer, 2))
+        for i in region.my_iterations():
+            with region.section(i):
+                pass
+
+    with pytest.raises(ConfigError) as info:
+        rt.root().fork_join([body, body])
+    drift = "synchronization drift in ordered region: planned ({},2), next actual seq 3"
+    assert str(info.value) == drift.format(1)
+    assert {t: str(err) for t, err in rt.errors.items()} == {
+        1: drift.format(1),
+        2: drift.format(2),
+    }
+    rt.finish()
+
+
 def test_parallel_for_visits_exactly_the_owned_iterations():
     rt = Runtime()
     seen = {0: [], 1: [], 2: []}
@@ -813,6 +841,26 @@ def test_parallel_for_visits_exactly_the_owned_iterations():
 # ----------------------------------------------------------------------
 # tasks
 # ----------------------------------------------------------------------
+
+
+def test_every_member_and_task_holds_every_global():
+    # The store's contract: a workspace is seeded with the globals or
+    # empty until its first acquire, the birth acquire of a member or a
+    # task, adopts a whole diff.
+    rt = Runtime({"a": 1, "b": 2, "c": 3})
+    globals_ = set(rt.names.values())
+    held = []
+
+    def task(ctx):
+        held.append(globals_ <= ctx.ws.cells.keys())
+
+    def body(ctx):
+        held.append(globals_ <= ctx.ws.cells.keys())
+        ctx.taskwait(ctx.spawn_task(task))
+
+    rt.root().fork_join([body, body])
+    assert held == [True] * 4
+    rt.finish()
 
 
 def test_task_returns_its_result_to_the_waiter():
