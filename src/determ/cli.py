@@ -55,6 +55,17 @@ def _thread_cap() -> int | None:
         raise ScriptError(0, f"{_THREAD_ENV} must be an integer, got {raw!r}") from None
 
 
+def _count(raw: str) -> int:
+    """An argparse type for counts of threads, trials and repetitions."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _require_threads(n: int) -> None:
     cap = _thread_cap()
     if cap is not None and n > cap:
@@ -238,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(demos.DEMOS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delay", type=float, default=0.002)
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--threads", type=_count, default=4)
     p.add_argument("--iterations", type=int, default=16)
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("check", help="enumerate a script and cross-check runs")
     p.add_argument("script")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delay", type=float, default=0.002)
     p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
@@ -257,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="compare against a flat-threads baseline")
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--threads", type=_count, default=4)
     p.add_argument("--size", type=int, default=200_000)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_count, default=5)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -9,10 +9,8 @@ Every construct here is sugar for release/acquire patterns:
   down) whose final member states are byte-identical to the logical
   everyone-releases-to-everyone form; the pairwise form stays available
   as ``algorithm="pairwise"`` so the two can be checked against each
-  other. Either form is a plan of release-set and acquire-set steps
-  that one loop runs; rank 0 folds reductions once it holds every
-  member's raw accumulator, just before its first release after an
-  acquire.
+  other. Rank 0 folds reductions once it holds every member's raw
+  accumulator, just before its first release after an acquire.
 * ordered regions: a chain of handoff channels through iteration space,
   so section i runs only after section i-1 released.
 * reductions: thread-private accumulator cells that rank 0 of a barrier,
@@ -25,13 +23,16 @@ Every construct here is sugar for release/acquire patterns:
   a snapshot isolated at spawn time, and its terminal release carries the
   result to whichever single waiter claims the handle.
 
-Threads never read each other's counters. Partner labels for collectives
-are computed from a per-member model of every member's label counter,
-advanced identically on all members because collectives are executed in
-the same order by all of them (SPMD discipline). Sync operations outside
-collectives must be performed uniformly by all members, otherwise the
-mismatch surfaces as a deterministic ConfigError or deadlock, never as a
-silent wrong answer.
+Every collective is a template of release-set and acquire-set steps,
+fixed by the team size (and an ordered region's schedule), whose labels
+are offsets from their members' label counters. Threads never read each
+other's counters: ``ThreadCtx._plan`` labels the calling rank's steps
+from a per-member model of every member's counter, advanced identically
+on all members because collectives are executed in the same order by
+all of them (SPMD discipline), and ``ThreadCtx._take`` runs them. Sync
+operations outside collectives must be performed uniformly by all
+members, otherwise the mismatch surfaces as a deterministic ConfigError
+or deadlock, never as a silent wrong answer.
 
 Logical threads run on parked daemon OS threads shared by every
 ``Runtime`` in the process: a launch hands the thread to an idle worker
@@ -49,7 +50,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, DeadlockError, UnallocatedError
 from .store import Address, Workspace, global_addresses
@@ -138,101 +139,69 @@ class _Step(NamedTuple):
     partners: tuple[SyncLabel, ...]
 
 
-def _tree_pairs(n: int) -> list[tuple[int, int, int]]:
-    """Binomial merge pairs (level, low rank, high rank), level ascending."""
-    pairs = []
-    k = 0
-    while (1 << k) < n:
-        span = 1 << (k + 1)
-        half = 1 << k
-        for lo in range(0, n, span):
-            if lo + half < n:
-                pairs.append((k, lo, lo + half))
-        k += 1
-    return pairs
+# Every collective is a template: per rank, its steps as (kind, seq
+# offset, ((partner rank, partner's seq offset), ...)), plus the count of
+# labels each rank consumes. Offsets count from the rank's counter on
+# entry; ``ThreadCtx._plan`` turns one rank's steps into labels.
+_Template = tuple[tuple[tuple, ...], tuple[int, ...]]
 
 
-def plan_tree_barrier(
-    tids: Sequence[int], seqs: dict[int, int]
-) -> tuple[dict[int, list[_Step]], dict[int, int]]:
-    """Both phases of one combining-tree round, with concrete labels.
-
-    ``seqs`` maps rank to the member's last used label seq; the plan is a
-    pure function of (tids, seqs) so every member computes it alone.
-    """
-    seqs = dict(seqs)
-    steps: dict[int, list[_Step]] = {r: [] for r in range(len(tids))}
-    pairs = _tree_pairs(len(tids))
-    for _, lo, hi in pairs:
-        seqs[hi] += 1
-        rel = SyncLabel(tids[hi], seqs[hi])
-        seqs[lo] += 1
-        acq = SyncLabel(tids[lo], seqs[lo])
-        steps[hi].append(_Step("rel", rel, (acq,)))
-        steps[lo].append(_Step("acq", acq, (rel,)))
-    for _, lo, hi in reversed(pairs):
-        seqs[lo] += 1
-        rel = SyncLabel(tids[lo], seqs[lo])
-        seqs[hi] += 1
-        acq = SyncLabel(tids[hi], seqs[hi])
-        steps[lo].append(_Step("rel", rel, (acq,)))
-        steps[hi].append(_Step("acq", acq, (rel,)))
-    return steps, seqs
+def _chain(n: int, links: Iterable[tuple[int, int]]) -> _Template:
+    """The template of ``links``, (releasing rank, acquiring rank) pairs
+    in order: each end of a link takes its rank's next label."""
+    steps: list[list] = [[] for _ in range(n)]
+    used = [0] * n
+    for rel, acq in links:
+        used[rel] += 1
+        used[acq] += 1
+        steps[rel].append(("rel", used[rel], ((acq, used[acq]),)))
+        steps[acq].append(("acq", used[acq], ((rel, used[rel]),)))
+    return tuple(map(tuple, steps)), tuple(used)
 
 
 @functools.lru_cache(maxsize=None)
-def _tree_template(
-    n: int,
-) -> tuple[tuple[tuple[tuple[str, int, int, int], ...], ...], tuple[int, ...]]:
-    """``plan_tree_barrier`` for ``n`` ranks from all-zero counters: per
-    rank, its steps as (kind, seq offset, partner rank, partner's seq
-    offset), since every tree step has one partner, and the count of
-    labels each rank consumes."""
-    steps, seqs = plan_tree_barrier(range(n), dict.fromkeys(range(n), 0))
-    template = tuple(
-        tuple((kind, mine.seq, *partner) for kind, mine, (partner,) in steps[r])
-        for r in range(n)
-    )
-    return template, tuple(seqs[r] for r in range(n))
+def _tree_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Binomial merge pairs (low rank, high rank), level by level."""
+    pairs: list[tuple[int, int]] = []
+    half = 1
+    while half < n:
+        pairs += [(lo, lo + half) for lo in range(0, n - half, 2 * half)]
+        half *= 2
+    return tuple(pairs)
 
 
-def plan_tree_rank(
-    tids: Sequence[int], seqs: dict[int, int], rank: int
-) -> tuple[list[_Step], dict[int, int]]:
-    """``rank``'s steps of ``plan_tree_barrier(tids, seqs)`` and its next
-    counters, without planning the other ranks: every label is its
-    owner's counter plus an offset fixed by the team size."""
-    template, used = _tree_template(len(tids))
-    me, base = tids[rank], seqs[rank]
-    steps = [
-        _Step(
-            kind, SyncLabel(me, base + off), (SyncLabel(tids[pr], seqs[pr] + poff),)
-        )
-        for kind, off, pr, poff in template[rank]
-    ]
-    return steps, {r: s + used[r] for r, s in seqs.items()}
+@functools.lru_cache(maxsize=None)
+def _tree_template(n: int) -> _Template:
+    """One combining-tree round: up the merge pairs, high rank to low,
+    then back down in reverse."""
+    pairs = _tree_pairs(n)
+    return _chain(n, [(hi, lo) for lo, hi in pairs] + [(lo, hi) for lo, hi in reversed(pairs)])
 
 
-def plan_pairwise_barrier(
-    tids: Sequence[int], seqs: dict[int, int]
-) -> tuple[dict[int, list[_Step]], dict[int, int]]:
-    """The quadratic reference form: everyone broadcasts to everyone.
+@functools.lru_cache(maxsize=None)
+def _pairwise_template(n: int, rounds: int) -> _Template:
+    """The quadratic reference form, ``rounds`` times: each member
+    releases to every other member, then acquires from every other
+    member. A team of one has no partners, so no steps."""
+    if n == 1:
+        return ((),), (0,)
+    steps = []
+    for r in range(n):
+        others = [p for p in range(n) if p != r]
+        mine = []
+        for k in range(1, 2 * rounds, 2):
+            mine.append(("rel", k, tuple((p, k + 1) for p in others)))
+            mine.append(("acq", k + 1, tuple((p, k) for p in others)))
+        steps.append(tuple(mine))
+    return tuple(steps), (2 * rounds,) * n
 
-    Each member consumes exactly two labels: one release set to every
-    other member, then one acquire set from every other member. A team
-    of one has no partners, so its plan has no steps.
-    """
-    n = len(tids)
-    rel = [SyncLabel(tids[r], seqs[r] + 1) for r in range(n)]
-    acq = [SyncLabel(tids[r], seqs[r] + 2) for r in range(n)]
-    steps: dict[int, list[_Step]] = {r: [] for r in range(n)}
-    if n > 1:
-        for r in range(n):
-            steps[r] += [
-                _Step("rel", rel[r], tuple(acq[:r] + acq[r + 1 :])),
-                _Step("acq", acq[r], tuple(rel[:r] + rel[r + 1 :])),
-            ]
-    return steps, {r: seqs[r] + 2 for r in range(n)}
+
+def _ordered_template(schedule: "StaticSchedule", n: int) -> _Template:
+    """The handoffs of an ordered region: owner(i-1) releases on leaving
+    i-1 and owner(i) acquires on entering i. Equal owners need none, as
+    program order already serializes them."""
+    owners = [schedule.owner(i, n) for i in range(schedule.iterations)]
+    return _chain(n, [(a, b) for a, b in zip(owners, owners[1:]) if a != b])
 
 
 def perturb_hook(
@@ -255,28 +224,24 @@ def perturb_hook(
 
 
 def tree_fold(values: Sequence[Any], combine: Callable[[Any, Any], Any]) -> Any:
-    """Fold by adjacent pairing, the same shape the combining tree uses."""
+    """Fold over the merge pairs of the combining tree, so the fold has
+    the same shape as the tree barrier."""
     vals = list(values)
     if not vals:
         raise ConfigError("nothing to fold")
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals), 2):
-            if i + 1 < len(vals):
-                nxt.append(combine(vals[i], vals[i + 1]))
-            else:
-                nxt.append(vals[i])
-        vals = nxt
+    for lo, hi in _tree_pairs(len(vals)):
+        vals[lo] = combine(vals[lo], vals[hi])
     return vals[0]
 
 
 class OrderedRegion:
     """Cross-thread ordering of iteration bodies inside a parallel loop.
 
-    Creation is collective: every member plans the same chain of handoff
-    channels from the schedule, then only the planned owners execute each
-    handoff. Skipping an owned section leaves its successor's channel
-    forever empty, which the deadlock detector reports.
+    Creation is collective: every member labels the same chain of handoff
+    channels from the schedule and keeps its own handoffs, which it runs
+    as it enters and leaves its sections. Skipping an owned section
+    leaves its successor's channel forever empty, which the deadlock
+    detector reports.
     """
 
     def __init__(self, ctx: "ThreadCtx", schedule: StaticSchedule) -> None:
@@ -284,24 +249,18 @@ class OrderedRegion:
         self._ctx = ctx
         self._schedule = schedule
         self._n = schedule.iterations
-        nthreads = team.size
-        self._owner = {i: schedule.owner(i, nthreads) for i in range(self._n)}
-        seqs = dict(ctx._counters)
-        # The handoff into i: owner(i-1) releases on leaving i-1, owner(i)
-        # acquires on entering i.
+        self._owner = {i: schedule.owner(i, team.size) for i in range(self._n)}
+        # This rank's steps, in iteration order: an entry acquire where a
+        # section's predecessor has another owner, an exit release where
+        # its successor has.
+        steps = iter(ctx._plan(_ordered_template(schedule, team.size)))
         self._entry: dict[int, _Step] = {}
         self._exit: dict[int, _Step] = {}
-        for i in range(1, self._n):
-            prev, cur = self._owner[i - 1], self._owner[i]
-            if prev == cur:
-                continue  # program order already serializes these
-            seqs[prev] += 1
-            rel = SyncLabel(team.members[prev], seqs[prev])
-            seqs[cur] += 1
-            acq = SyncLabel(team.members[cur], seqs[cur])
-            self._exit[i - 1] = _Step("rel", rel, (acq,))
-            self._entry[i] = _Step("acq", acq, (rel,))
-        ctx._counters = seqs
+        for i in schedule.owned(ctx.rank, team.size):
+            if i > 0 and self._owner[i - 1] != ctx.rank:
+                self._entry[i] = next(steps)
+            if i + 1 < self._n and self._owner[i + 1] != ctx.rank:
+                self._exit[i] = next(steps)
         self._last_done: int | None = None
 
     def my_iterations(self) -> list[int]:
@@ -519,7 +478,7 @@ class ThreadCtx:
         self.team = team
         self.rank = rank if rank is not None else -1
         # Every member's first sync event is its birth acquire, seq 1.
-        self._counters = {r: 1 for r in range(team.size)} if team else {}
+        self._counters = [1] * team.size if team else []
         self._hook = ep._hook
         self._names = rt.names
 
@@ -588,9 +547,8 @@ class ThreadCtx:
         members = [
             self.rt._peer(tid, team=team, rank=rank) for rank, tid in enumerate(tids)
         ]
-        fork_label = SyncLabel(self.tid, self.ep.next_seq())
         # Deposit birth diffs before the children start looking for them.
-        self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
+        fork_label = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
         for ctx, body in zip(members, bodies):
             self.rt._launch(ctx, lambda c, b=body: c._member_main(b, fork_label))
         return team
@@ -657,13 +615,31 @@ class ThreadCtx:
             raise ConfigError("collective operation outside a team")
         return self.team
 
-    def _collective_entry(self) -> None:
-        # Absorb sync events performed since the last collective. They must
-        # have been uniform across members (SPMD discipline); divergence
-        # shows up later as a deterministic pairing error or deadlock.
-        delta = self.ep.seq - self._counters[self.rank]
+    def _plan(self, template: _Template) -> list[_Step]:
+        """This rank's steps of ``template``, labelled from the team's
+        counters, which then advance past the whole template.
+
+        Sync events performed since the last collective are absorbed
+        first. They must have been uniform across members (SPMD
+        discipline); divergence shows up later as a deterministic
+        pairing error or deadlock.
+        """
+        steps, used = template
+        counters = self._counters
+        delta = self.ep.seq - counters[self.rank]
         if delta:
-            self._counters = {r: s + delta for r, s in self._counters.items()}
+            counters = [s + delta for s in counters]
+        self._counters = [s + u for s, u in zip(counters, used)]
+        members = self.team.members
+        base = counters[self.rank]
+        return [
+            _Step(
+                kind,
+                SyncLabel(self.tid, base + off),
+                tuple([SyncLabel(members[p], counters[p] + poff) for p, poff in partners]),
+            )
+            for kind, off, partners in steps[self.rank]
+        ]
 
     def _expect_label(self, planned: SyncLabel, what: str) -> None:
         if planned.thread != self.tid or planned.seq != self.ep.next_seq():
@@ -698,18 +674,14 @@ class ThreadCtx:
     def barrier(self, algorithm: str = "tree") -> None:
         """One team-wide barrier round; folds pending reductions."""
         team = self._require_team()
-        self._collective_entry()
         if algorithm == "tree":
-            steps, seqs = plan_tree_rank(team.members, self._counters, self.rank)
+            template = _tree_template(team.size)
         elif algorithm == "pairwise":
-            plan, seqs = plan_pairwise_barrier(team.members, self._counters)
-            steps = plan[self.rank]
-            if team.reductions:
-                # The flat form needs a second exchange to publish the fold.
-                plan, seqs = plan_pairwise_barrier(team.members, seqs)
-                steps += plan[self.rank]
+            # The flat form needs a second exchange to publish the fold.
+            template = _pairwise_template(team.size, 2 if team.reductions else 1)
         else:
             raise ConfigError(f"unknown barrier algorithm {algorithm!r}")
+        steps = self._plan(template)
         fold = self.rank == 0 and bool(team.reductions)
         pre = self._reduction_prestamps(team) if fold else {}
         acquired = False
@@ -724,7 +696,6 @@ class ThreadCtx:
             self._take(step, "barrier")
         if fold:  # a team of one has no steps
             self._fold_partials(team, pre)
-        self._counters = seqs
         if team.reductions:
             self._reset_accumulators(team)
 
@@ -777,8 +748,6 @@ class ThreadCtx:
     # -- ordered regions and loops -----------------------------------------
 
     def ordered_region(self, schedule: StaticSchedule) -> OrderedRegion:
-        self._require_team()
-        self._collective_entry()
         return OrderedRegion(self, schedule)
 
     def my_iterations(self, schedule: StaticSchedule) -> list[int]:
@@ -796,7 +765,6 @@ class ThreadCtx:
     def spawn_task(self, body: Callable[["ThreadCtx"], Any]) -> TaskHandle:
         (tid,) = self.rt._claim_tids(1)
         ctx = self.rt._peer(tid)
-        spawn_label = SyncLabel(self.tid, self.ep.next_seq())
         handle = TaskHandle(
             tid=tid,
             completion=SyncLabel(tid, TERMINAL_SEQ),
@@ -804,7 +772,7 @@ class ThreadCtx:
         )
         with self.rt._lock:
             self.rt._spawned_by[tid] = self.tid
-        self.ep.release(self.ws, SyncLabel(tid, 1))
+        spawn_label = self.ep.release(self.ws, SyncLabel(tid, 1))
         self.rt._launch(ctx, lambda c: c._task_main(body, spawn_label))
         return handle
 

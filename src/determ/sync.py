@@ -400,7 +400,7 @@ class Endpoint:
         self._recorder = recorder
 
     def next_seq(self) -> int:
-        """Seq the next sync event will carry; used by label planners."""
+        """Seq the next sync event will carry; planned steps are checked against it."""
         return self.seq + 1
 
     def _advance(self) -> SyncLabel:

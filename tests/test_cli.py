@@ -212,6 +212,22 @@ def test_malformed_thread_cap_is_a_usage_error(capsys, monkeypatch):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bench", "--threads", "0"),
+        ("bench", "--reps", "0"),
+        ("check", "swap", "--trials", "0"),
+        ("demo", "reduce", "--threads", "0"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1, got 0" in err
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 

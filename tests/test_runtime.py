@@ -36,10 +36,10 @@ from determ.runtime import (
     Reduction,
     Runtime,
     StaticSchedule,
-    plan_pairwise_barrier,
+    _ordered_template,
+    _pairwise_template,
+    _tree_template,
     perturb_hook,
-    plan_tree_barrier,
-    plan_tree_rank,
     tree_fold,
 )
 from determ.store import Address, global_addresses
@@ -82,48 +82,51 @@ def test_schedule_rejects_bad_chunk():
         StaticSchedule(4, chunk=0).chunk_size(2)
 
 
-@pytest.mark.parametrize("planner", [plan_tree_barrier, plan_pairwise_barrier])
+_TEMPLATES = {
+    "tree": _tree_template,
+    "pairwise": lambda n: _pairwise_template(n, 1),
+    "pairwise-folding": lambda n: _pairwise_template(n, 2),
+    "ordered": lambda n: _ordered_template(StaticSchedule(11), n),
+    "ordered-chunked": lambda n: _ordered_template(StaticSchedule(13, chunk=2), n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TEMPLATES))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-def test_barrier_plans_pair_every_channel_exactly_once(planner, n):
-    tids = list(range(1, n + 1))
-    seqs = {r: 5 for r in range(n)}
-    steps, after = planner(tids, seqs)
+def test_barrier_plans_pair_every_channel_exactly_once(kind, n):
+    steps, used = _TEMPLATES[kind](n)
+    assert len(steps) == len(used) == n
     releases = {}
-    acquires = {}
-    for rank, mine in steps.items():
-        for step in mine:
-            assert step.mine.thread == tids[rank]
-            for partner in step.partners:
-                if step.kind == "rel":
-                    releases.setdefault(step.mine, set()).add(partner)
+    acquires = set()
+    for rank, mine in enumerate(steps):
+        # Each rank takes its labels in order, and exactly the ones it uses.
+        assert [off for _, off, _ in mine] == list(range(1, used[rank] + 1))
+        for kind_, off, partners in mine:
+            assert partners
+            for partner in partners:
+                if kind_ == "rel":
+                    releases.setdefault((rank, off), set()).add(partner)
                 else:
-                    acquires[(step.mine, partner)] = rank
+                    acquires.add(((rank, off), partner))
     # Every acquire step names a planned release aimed right back at it.
-    for (acq, rel), rank in acquires.items():
+    for acq, rel in acquires:
         assert acq in releases[rel]
     # And every planned release target is acquired by exactly one step.
     planned = {(acq, rel) for rel, acqs in releases.items() for acq in acqs}
-    assert planned == set(acquires)
-    # Counters advance and the plan is a pure function of its inputs.
-    for r in range(n):
-        assert after[r] >= seqs[r]
-    again, after2 = planner(tids, seqs)
-    assert (again, after2) == (steps, after)
+    assert planned == acquires
+    # The template is a pure function of the team size.
+    assert _TEMPLATES[kind](n) == (steps, used)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 32])
-def test_one_rank_tree_plan_is_that_rank_of_the_full_plan(n):
-    rng = random.Random(n)
-    tids = [7 + 3 * r for r in range(n)]
-    seqs = {r: rng.randint(1, 40) for r in range(n)}
-    steps, after = plan_tree_barrier(tids, seqs)
-    for rank in range(n):
-        assert plan_tree_rank(tids, seqs, rank) == (steps[rank], after)
+def test_four_rank_tree_template_is_pinned():
+    steps, used = _tree_template(4)
+    assert used == (4, 2, 4, 2)
+    assert steps[1] == (("rel", 1, ((0, 1),)), ("acq", 2, ((0, 4),)))
 
 
 def test_pairwise_plan_consumes_two_labels_per_member():
-    _, after = plan_pairwise_barrier([1, 2, 3], {0: 0, 1: 4, 2: 9})
-    assert after == {0: 2, 1: 6, 2: 11}
+    assert _pairwise_template(3, 1)[1] == (2, 2, 2)
+    assert _pairwise_template(3, 2)[1] == (4, 4, 4)
 
 
 def test_tree_fold_matches_left_fold_for_associative_ops():
@@ -1135,6 +1138,29 @@ def test_members_of_a_fork_that_failed_before_launch_hold_nobody_up():
         root.taskwait(handle)
     assert info.value.blocked == (0, 3)
     rt.finish()
+
+
+def test_a_fork_whose_second_launch_fails_leaves_a_clean_runtime(monkeypatch):
+    run = runtime._WORKERS.run
+    calls = []
+
+    def failing_run(job):
+        calls.append(job)
+        if len(calls) == 2:
+            raise RuntimeError("no worker")
+        run(job)
+
+    monkeypatch.setattr(runtime._WORKERS, "run", failing_run)
+    rt = Runtime({"x": 0})
+    with pytest.raises(RuntimeError, match="no worker"):
+        rt.root().fork_join([lambda ctx: ctx.read("x")] * 3)
+    # The first member runs to its end, the second is marked done by the
+    # failed launch, and the third was never launched.
+    rt.finish()
+    assert len(calls) == 2
+    assert rt.errors == {}
+    assert rt.registry.doomed() == ()
+    assert rt.registry.violations() == ()
 
 
 def test_task_allocations_travel_with_the_result():
