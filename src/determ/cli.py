@@ -26,7 +26,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import demos
 from .errors import DetermError, LimitError, ScriptError
@@ -55,15 +55,24 @@ def _thread_cap() -> int | None:
         raise ScriptError(0, f"{_THREAD_ENV} must be an integer, got {raw!r}") from None
 
 
-def _count(raw: str) -> int:
-    """An argparse type for counts of threads, trials and repetitions."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+# Counts of threads, trials, repetitions and states; sizes may be 0.
+_count = _at_least(1)
+_size = _at_least(0)
 
 
 def _require_threads(n: int) -> None:
@@ -250,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delay", type=float, default=0.002)
     p.add_argument("--threads", type=_count, default=4)
-    p.add_argument("--iterations", type=int, default=16)
+    p.add_argument("--iterations", type=_size, default=16)
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("check", help="enumerate a script and cross-check runs")
@@ -258,18 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delay", type=float, default=0.002)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle", help="enumerate all outcomes of a script")
     p.add_argument("script")
     p.add_argument("--mode", choices=("dc", "sc"), default="dc")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="compare against a flat-threads baseline")
     p.add_argument("--threads", type=_count, default=4)
-    p.add_argument("--size", type=int, default=200_000)
+    p.add_argument("--size", type=_size, default=200_000)
     p.add_argument("--reps", type=_count, default=5)
     p.set_defaults(func=_cmd_bench)
 

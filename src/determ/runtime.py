@@ -2,9 +2,14 @@
 
 Every construct here is sugar for release/acquire patterns:
 
-* fork: the parent broadcast-releases its state to a birth acquire in
-  each child; join: the parent acquire-sets over the children's terminal
-  releases in rank order.
+* fork/join and tasks: team members and tasks are born and awaited
+  alike. ``ThreadCtx._start`` releases the parent's state to the
+  children's birth acquires in one release set, so a task's snapshot is
+  isolated at spawn time; each child dies with a terminal release (a
+  task's carries its result), which ``ThreadCtx._await`` claims in one
+  acquire set. A doomed waiter waits for the children to unwind, then
+  raises the most specific non-deadlock error they recorded (by
+  ``_ERROR_ORDER``, then rank), else its own ``DeadlockError``.
 * barrier: physically a combining tree over ranks (two phases, up then
   down) whose final member states are byte-identical to the logical
   everyone-releases-to-everyone form; the pairwise form stays available
@@ -19,9 +24,6 @@ Every construct here is sugar for release/acquire patterns:
   variable's current value as its leftmost operand and the folder writes
   the result back with a fresh stamp, so fold points compound and any
   other write to the variable under a live team is rejected.
-* tasks: each task is a fresh logical thread; the spawn release gives it
-  a snapshot isolated at spawn time, and its terminal release carries the
-  result to whichever single waiter claims the handle.
 
 Every collective is a template of release-set and acquire-set steps,
 fixed by the team size (and an ordered region's schedule), whose labels
@@ -525,7 +527,52 @@ class ThreadCtx:
             self._hook()
         return self.ws.alloc(value)
 
-    # -- fork / join ------------------------------------------------------
+    # -- child threads -----------------------------------------------------
+
+    def _start(
+        self, tids: Sequence[int], bodies: Sequence[Callable], team: Team | None = None
+    ) -> None:
+        """Release to the birth labels of ``tids`` in one event, then launch
+        each on its body: as the ranks of ``team``, or as tasks if None."""
+        children = [
+            self.rt._peer(tid, team=team, rank=rank if team else None)
+            for rank, tid in enumerate(tids)
+        ]
+        # Deposit birth diffs before the children start looking for them.
+        birth = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
+        for ctx, body in zip(children, bodies):
+            self.rt._launch(ctx, lambda c, b=body: c._child_main(b, birth))
+
+    def _child_main(self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel) -> None:
+        """Acquire the birth release, run ``body`` and die with a terminal
+        release. A task keeps the body's value at ``Address(tid, 1)``; a
+        member first allocates its accumulator for reduction idx at
+        ``Address(tid, idx + 1)``, where every reader computes it."""
+        self.ep.acquire(self.ws, birth)
+        if self.team is None:
+            result = self.ws.alloc(None)
+            self.ws.write(result, body(self))
+        else:
+            for spec in self.team.reductions:
+                self.ws.alloc(spec.identity)
+            body(self)
+        self.ep.release_terminal(self.ws)
+
+    def _await(self, tids: Sequence[int]) -> None:
+        """Claim the terminal releases of ``tids`` in one acquire set; a
+        doomed wait raises by the waiter's rule in the module docstring."""
+        try:
+            self.ep.acquire_set(self.ws, [SyncLabel(t, TERMINAL_SEQ) for t in tids])
+        except DeadlockError:
+            self.rt.registry.wait_unwound(tids, timeout=_JOIN_TIMEOUT, waiter=self.tid)
+            failed = [
+                (_ERROR_ORDER.get(type(err).__name__, 3), rank, err)
+                for rank, err in enumerate(map(self.rt.errors.get, tids))
+                if err is not None and not isinstance(err, DeadlockError)
+            ]
+            if failed:
+                raise min(failed, key=lambda f: f[:2])[2] from None
+            raise
 
     def fork(
         self,
@@ -544,38 +591,14 @@ class ThreadCtx:
             self.addr(spec.var)  # must be a known global
         tids = self.rt._claim_tids(len(bodies))
         team = Team(members=tids, parent=self.tid, reductions=specs)
-        members = [
-            self.rt._peer(tid, team=team, rank=rank) for rank, tid in enumerate(tids)
-        ]
-        # Deposit birth diffs before the children start looking for them.
-        fork_label = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
-        for ctx, body in zip(members, bodies):
-            self.rt._launch(ctx, lambda c, b=body: c._member_main(b, fork_label))
+        self._start(tids, bodies, team)
         return team
-
-    def _member_main(
-        self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel
-    ) -> None:
-        self.ep.acquire(self.ws, birth)
-        self._setup_accumulators()
-        body(self)
-        self.ep.release_terminal(self.ws)
 
     def join(self, team: Team) -> None:
         if self.tid != team.parent:
             raise ConfigError("only the forking thread may join a team")
-        partners = [SyncLabel(t, TERMINAL_SEQ) for t in team.members]
         pre_stamps = self._reduction_prestamps(team)
-        try:
-            self.ep.acquire_set(self.ws, partners)
-        except DeadlockError:
-            self.rt.registry.wait_unwound(
-                team.members, timeout=_JOIN_TIMEOUT, waiter=self.tid
-            )
-            err = self._team_error(team)
-            if err is not None:
-                raise err from None
-            raise
+        self._await(team.members)
         with self.rt._lock:
             pending = sorted(
                 t for t, spawner in self.rt._spawned_by.items() if spawner in team.members
@@ -595,18 +618,6 @@ class ThreadCtx:
         reductions: Sequence[Reduction] = (),
     ) -> None:
         self.join(self.fork(bodies, reductions))
-
-    def _team_error(self, team: Team) -> BaseException | None:
-        candidates = []
-        for rank, tid in enumerate(team.members):
-            err = self.rt.errors.get(tid)
-            if err is not None and not isinstance(err, DeadlockError):
-                order = _ERROR_ORDER.get(type(err).__name__, 3)
-                candidates.append((order, rank, err))
-        if not candidates:
-            return None
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        return candidates[0][2]
 
     # -- collectives -------------------------------------------------------
 
@@ -656,13 +667,6 @@ class ThreadCtx:
         else:
             self.ep.acquire_set(self.ws, step.partners)
 
-    def _setup_accumulators(self) -> None:
-        """Allocate member t's accumulator for reduction idx at
-        ``Address(t, idx + 1)``, where every reader computes it."""
-        for idx, spec in enumerate(self.team.reductions):
-            addr = self.ws.alloc(spec.identity)
-            assert addr == Address(self.tid, idx + 1)
-
     def contribute(self, var: str, value: Any) -> None:
         team = self._require_team()
         idx = next((i for i, s in enumerate(team.reductions) if s.var == var), None)
@@ -705,41 +709,31 @@ class ThreadCtx:
             for spec in team.reductions
         }
 
-    def _check_fold_safe(self, spec: Reduction, pre_stamp: Any) -> Address:
-        """Reject user writes to a reduction variable under a live team.
-
-        The variable's stamp may move only through earlier folds, whose
-        stamps the runtime remembers.
-        """
-        var_addr = self.addr(spec.var)
-        current = self.ws.cells[var_addr].stamp
-        if current != pre_stamp:
-            with self.rt._lock:
-                blessed = current in self.rt._fold_stamps
-            if not blessed:
-                raise ConfigError(
-                    f"reduction variable {spec.var!r} was written inside the region"
-                )
-        return var_addr
-
-    def _write_fold(self, var_addr: Address, value: Any) -> None:
-        stamp = self.ws.write(var_addr, value)
-        with self.rt._lock:
-            self.rt._fold_stamps.add(stamp)
-
     def _fold_partials(self, team: Team, pre: dict[str, Any]) -> None:
         """Fold every member's accumulator into each reduction variable,
         over the rank tree; the folder (a joining parent, or rank 0 of a
-        barrier) holds every member's accumulator as written."""
+        barrier) holds every member's accumulator as written.
+
+        A user write to a reduction variable under a live team is
+        rejected: the variable's stamp may have moved since ``pre`` only
+        through earlier folds, whose stamps the runtime remembers.
+        """
+        rt = self.rt
         for idx, spec in enumerate(team.reductions):
-            var_addr = self._check_fold_safe(spec, pre[spec.var])
-            partials = [
-                self.ws.read(Address(t, idx + 1)) for t in team.members
-            ]
-            folded = spec.combine(
-                self.ws.read(var_addr), tree_fold(partials, spec.combine)
-            )
-            self._write_fold(var_addr, folded)
+            var_addr = self.addr(spec.var)
+            current = self.ws.cells[var_addr].stamp
+            if current != pre[spec.var]:
+                with rt._lock:
+                    blessed = current in rt._fold_stamps
+                if not blessed:
+                    raise ConfigError(
+                        f"reduction variable {spec.var!r} was written inside the region"
+                    )
+            partials = [self.ws.read(Address(t, idx + 1)) for t in team.members]
+            folded = spec.combine(self.ws.read(var_addr), tree_fold(partials, spec.combine))
+            stamp = self.ws.write(var_addr, folded)
+            with rt._lock:
+                rt._fold_stamps.add(stamp)
 
     def _reset_accumulators(self, team: Team) -> None:
         for idx, spec in enumerate(team.reductions):
@@ -764,37 +758,14 @@ class ThreadCtx:
 
     def spawn_task(self, body: Callable[["ThreadCtx"], Any]) -> TaskHandle:
         (tid,) = self.rt._claim_tids(1)
-        ctx = self.rt._peer(tid)
-        handle = TaskHandle(
-            tid=tid,
-            completion=SyncLabel(tid, TERMINAL_SEQ),
-            result=Address(tid, 1),
-        )
+        self._start((tid,), (body,))
         with self.rt._lock:
             self.rt._spawned_by[tid] = self.tid
-        spawn_label = self.ep.release(self.ws, SyncLabel(tid, 1))
-        self.rt._launch(ctx, lambda c: c._task_main(body, spawn_label))
-        return handle
-
-    def _task_main(self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel) -> None:
-        self.ep.acquire(self.ws, birth)
-        result_addr = self.ws.alloc(None)
-        assert result_addr == Address(self.tid, 1)
-        self.ws.write(result_addr, body(self))
-        self.ep.release_terminal(self.ws)
+        return TaskHandle(tid, SyncLabel(tid, TERMINAL_SEQ), Address(tid, 1))
 
     def taskwait(self, handle: TaskHandle) -> Any:
         """Claim the task's terminal release; returns the body's value."""
-        try:
-            self.ep.acquire(self.ws, handle.completion)
-        except DeadlockError:
-            self.rt.registry.wait_unwound(
-                (handle.tid,), timeout=_JOIN_TIMEOUT, waiter=self.tid
-            )
-            err = self.rt.errors.get(handle.tid)
-            if err is not None:
-                raise err from None
-            raise
+        self._await((handle.tid,))
         with self.rt._lock:
             self.rt._spawned_by.pop(handle.tid, None)
         return self.ws.read(handle.result)

@@ -219,6 +219,8 @@ def test_malformed_thread_cap_is_a_usage_error(capsys, monkeypatch):
         ("bench", "--reps", "0"),
         ("check", "swap", "--trials", "0"),
         ("demo", "reduce", "--threads", "0"),
+        ("check", "swap", "--max-states", "0"),
+        ("oracle", "swap", "--max-states", "0"),
     ],
 )
 def test_counts_below_one_are_usage_errors(capsys, args):
@@ -226,6 +228,26 @@ def test_counts_below_one_are_usage_errors(capsys, args):
     assert code == 2
     assert out == ""
     assert "must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (("demo", "ordered", "--iterations", "-3"), "must be at least 0, got -3"),
+        (("bench", "--size", "-5"), "must be at least 0, got -5"),
+    ],
+)
+def test_negative_sizes_are_usage_errors(capsys, args, reason):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+def test_zero_iterations_is_an_empty_loop(capsys):
+    code, out, _ = run_cli(capsys, "demo", "ordered", "--iterations", "0", "--delay", "0")
+    assert code == 0
+    assert kv(out)["length"] == ["0"]
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

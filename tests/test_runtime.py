@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import gc
+import itertools
 import operator
 import os
 import random
@@ -1138,6 +1139,54 @@ def test_members_of_a_fork_that_failed_before_launch_hold_nobody_up():
         root.taskwait(handle)
     assert info.value.blocked == (0, 3)
     rt.finish()
+
+
+def test_a_failed_spawn_leaves_no_bookkeeping():
+    # The birth release fails, so the task never runs: neither the
+    # member's team join nor the root may count it as spawned.
+    rt = Runtime()
+    root = rt.root()
+
+    def refuse():
+        raise RuntimeError("refused")
+
+    def body(ctx):
+        ctx.ep._hook = refuse
+        with pytest.raises(RuntimeError):
+            ctx.spawn_task(lambda t: 1)
+        ctx.ep._hook = None
+
+    root.fork_join([body])
+    assert rt._spawned_by == {}
+    root.ep._hook = refuse
+    with pytest.raises(RuntimeError):
+        root.spawn_task(lambda t: 1)
+    root.ep._hook = None
+    assert rt._spawned_by == {}
+    rt.finish()
+
+
+def test_join_and_taskwait_follow_one_deadlock_rule():
+    # The child is doomed with its waiter, then spawns a task that blocks
+    # and blocks again itself, so its second doom lists the task too.
+    # The waiter reports its own doom, not the child's later one.
+    def child(ctx):
+        try:
+            ctx.ep.acquire(ctx.ws, SyncLabel(0, 100))
+        except DeadlockError:
+            ctx.taskwait(ctx.spawn_task(lambda t: t.ep.acquire(t.ws, SyncLabel(0, 101))))
+
+    waits = {
+        "join": lambda root: root.fork_join([child]),
+        "taskwait": lambda root: root.taskwait(root.spawn_task(child)),
+    }
+    for wait, seed in itertools.product(waits, (None, 1, 2)):
+        rt = Runtime(seed=seed, delay=0.001)
+        with pytest.raises(DeadlockError) as info:
+            waits[wait](rt.root())
+        assert info.value.blocked == (0, 1), (wait, seed)
+        assert rt.errors[1].blocked == (0, 1, 2), (wait, seed)
+        rt.finish()
 
 
 def test_a_fork_whose_second_launch_fails_leaves_a_clean_runtime(monkeypatch):
