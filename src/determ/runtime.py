@@ -36,6 +36,10 @@ operations outside collectives must be performed uniformly by all
 members, otherwise the mismatch surfaces as a deterministic ConfigError
 or deadlock, never as a silent wrong answer.
 
+Ids follow the program, not the schedule: the k-th child, member or
+task, that thread t starts gets ``t * 2**32 + k``, so the root's
+children are 1, 2, 3, ... whichever of two spawning members runs first.
+
 Logical threads run on parked daemon OS threads shared by every
 ``Runtime`` in the process: a launch hands the thread to an idle worker
 and starts a new one only when none is idle. A ``Runtime`` tracks
@@ -55,10 +59,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, DeadlockError, UnallocatedError
-from .store import Address, Workspace, global_addresses
+from .store import Address, Record, Workspace, global_addresses
 from .sync import TERMINAL_SEQ, ChannelRegistry, Endpoint, SyncLabel
 
 _JOIN_TIMEOUT = 60.0
+
+# Ids per parent: the k-th child of thread t is t * _CHILDREN + k.
+_CHILDREN = 2**32
 
 # Error precedence when several threads of a team failed: report the most
 # specific cause, then the lowest rank. Deadlocks are usually collateral.
@@ -345,7 +352,7 @@ os.register_at_fork(after_in_child=_WORKERS.__init__)
 
 
 class Runtime:
-    """Owns the registry, thread ids, tracing, and error collection."""
+    """Owns the registry, the store's record, tracing, and error collection."""
 
     def __init__(
         self,
@@ -357,14 +364,14 @@ class Runtime:
         self.registry = ChannelRegistry()
         self._globals = dict(globals or {})
         self.names = global_addresses(self._globals)
+        self._record = Record()
         self._lock = threading.Lock()
-        self._next_tid = 1
         self._seed = seed
         self._delay = delay
         self._trace_lines: list[str] | None = [] if trace else None
         self.errors: dict[int, BaseException] = {}
-        # Spawned tasks not yet waited for: task tid -> spawning tid.
-        self._spawned_by: dict[int, int] = {}
+        # Spawned tasks not yet waited for; a task's spawner is tid // _CHILDREN.
+        self._unwaited: set[int] = set()
         # Stamps minted by reduction folds; a reduction variable may only
         # change underneath a team through one of these.
         self._fold_stamps: set = set()
@@ -384,14 +391,6 @@ class Runtime:
         hook = perturb_hook(self._seed, tid, self._delay)
         return Endpoint(self.registry, tid, hook=hook, recorder=recorder)
 
-    def _claim_tids(self, count: int) -> tuple[int, ...]:
-        # Consecutive ids per spawn call; deterministic whenever spawns are
-        # causally ordered, which every construct here guarantees.
-        with self._lock:
-            base = self._next_tid
-            self._next_tid += count
-        return tuple(range(base, base + count))
-
     def _record_error(self, tid: int, err: BaseException) -> None:
         with self._lock:
             self.errors[tid] = err
@@ -405,7 +404,8 @@ class Runtime:
     ) -> "ThreadCtx":
         """Build ``tid``'s context over an empty workspace, or over one
         holding the globals when ``seeded``."""
-        ws = Workspace(tid, self._globals, names=self.names) if seeded else Workspace(tid)
+        start, names = (self._globals, self.names) if seeded else ((), None)
+        ws = Workspace(tid, start, names=names, record=self._record)
         return ThreadCtx(self, tid, ws, self._endpoint(tid), team, rank)
 
     def _run(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
@@ -481,6 +481,7 @@ class ThreadCtx:
         self.rank = rank if rank is not None else -1
         # Every member's first sync event is its birth acquire, seq 1.
         self._counters = [1] * team.size if team else []
+        self._children = 0
         self._hook = ep._hook
         self._names = rt.names
 
@@ -528,6 +529,14 @@ class ThreadCtx:
         return self.ws.alloc(value)
 
     # -- child threads -----------------------------------------------------
+
+    def _child_tids(self, count: int) -> tuple[int, ...]:
+        """The ids of this thread's next ``count`` children."""
+        if self._children + count >= _CHILDREN:
+            raise ConfigError(f"thread {self.tid} cannot start {_CHILDREN} children")
+        base = self.tid * _CHILDREN + self._children
+        self._children += count
+        return tuple(range(base + 1, base + count + 1))
 
     def _start(
         self, tids: Sequence[int], bodies: Sequence[Callable], team: Team | None = None
@@ -589,7 +598,7 @@ class ThreadCtx:
                 raise ConfigError(f"reduction variable {spec.var!r} redeclared")
             seen.add(spec.var)
             self.addr(spec.var)  # must be a known global
-        tids = self.rt._claim_tids(len(bodies))
+        tids = self._child_tids(len(bodies))
         team = Team(members=tids, parent=self.tid, reductions=specs)
         self._start(tids, bodies, team)
         return team
@@ -600,9 +609,7 @@ class ThreadCtx:
         pre_stamps = self._reduction_prestamps(team)
         self._await(team.members)
         with self.rt._lock:
-            pending = sorted(
-                t for t, spawner in self.rt._spawned_by.items() if spawner in team.members
-            )
+            pending = sorted(t for t in self.rt._unwaited if t // _CHILDREN in team.members)
         if pending:
             raise ConfigError(f"tasks {pending} were never waited before team join")
         self._fold_partials(team, pre_stamps)
@@ -757,15 +764,17 @@ class ThreadCtx:
     # -- tasks ---------------------------------------------------------------
 
     def spawn_task(self, body: Callable[["ThreadCtx"], Any]) -> TaskHandle:
-        (tid,) = self.rt._claim_tids(1)
+        (tid,) = self._child_tids(1)
         self._start((tid,), (body,))
         with self.rt._lock:
-            self.rt._spawned_by[tid] = self.tid
+            self.rt._unwaited.add(tid)
         return TaskHandle(tid, SyncLabel(tid, TERMINAL_SEQ), Address(tid, 1))
 
     def taskwait(self, handle: TaskHandle) -> Any:
         """Claim the task's terminal release; returns the body's value."""
-        self._await((handle.tid,))
-        with self.rt._lock:
-            self.rt._spawned_by.pop(handle.tid, None)
+        try:
+            self._await((handle.tid,))
+        finally:
+            with self.rt._lock:
+                self.rt._unwaited.discard(handle.tid)
         return self.ws.read(handle.result)

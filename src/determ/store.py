@@ -18,19 +18,21 @@ payload is put in canonical ascending address order, by sorting the
 conflicts. A fresh receiver, with no cells and no knowledge, adopts the
 whole diff by copying it.
 
-A finished thread's writes are all known to whoever applied its
-terminal diff, or a diff from a sender that had. Such a workspace keeps
-the writer *retired*: not as a counter, but inside a sorted tuple of
-tid ranges (team tids are consecutive, so the ranges stay few), shared
-unchanged between workspaces and diffs until one of them learns of
-another retirement. The knowledge vector proper holds the live writers
-only, so copying it, merging it, and walking it cost what the live
-threads did, not what every thread that ever ran did. Before its
-terminal release a thread enters its final seq, and the addresses it
-stamped, in a record shared by every workspace of one program: the
-counters behind ``knowledge`` and ``state_bytes()`` are read back from
-it, and so are the addresses to visit for a writer a receiver newly
-learns as retired.
+A finished thread's writes are all known to the one workspace that
+applies its terminal diff, which *absorbs* the writer: it enters the
+writer's final seq, and the addresses its stamps held, in a record
+shared by every workspace of one program, as its own next absorption.
+A workspace's *summary*, absorber -> how many of its absorptions it
+knows, kept for absorbers it does not know retired, names the writers
+it knows retired: those among the absorptions it counts, and those
+whose absorber it knows retired, a chain as deep as threads nest. So it
+follows program structure, not thread numbering, and is shared
+unchanged between workspaces and diffs. The knowledge vector proper
+holds the live writers only, so copying it, merging it, and walking it
+cost what the live threads did, not what every thread that ever ran
+did. ``knowledge`` and ``state_bytes()`` read the retired writers'
+counters back from the record, and a receiver the addresses of a
+writer it newly learns as retired.
 
 An acquire visits only the cells whose stamps it lacks. Each workspace
 keeps an exact index of the cells stamped by its live writers: writer
@@ -77,7 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataRaceError, UnallocatedError
 
@@ -127,69 +129,62 @@ def covers(knowledge: Mapping[int, int], stamp: VersionStamp) -> bool:
     return stamp.seq <= knowledge.get(stamp.writer, 0)
 
 
-#: Retired writers: sorted, disjoint, non-adjacent half-open tid ranges.
-Retired = tuple
-
-
-def _is_retired(retired: Retired, writer: int) -> bool:
-    for lo, hi in retired:
-        if writer < hi:
-            return writer >= lo
-    return False
-
-
-def _retired_tids(retired: Retired) -> Iterator[int]:
-    for lo, hi in retired:
-        yield from range(lo, hi)
-
-
-def _newly_retired(theirs: Retired, mine: Retired) -> list[int]:
-    """The tids ``theirs`` holds and ``mine`` does not."""
-    out: list[int] = []
-    for lo, hi in theirs:
-        for mlo, mhi in mine:
-            if mhi <= lo:
-                continue
-            if mlo >= hi:
-                break
-            out.extend(range(lo, mlo))
-            lo = mhi
-            if lo >= hi:
-                break
-        out.extend(range(lo, hi))
-    return out
-
-
-def _merge_retired(a: Retired, b: Retired) -> Retired:
-    """The union of two range tuples; ``a`` or ``b`` itself when it
-    equals one of them, so equal summaries tend to stay one object."""
-    if a is b or not b:
-        return a
-    if not a:
-        return b
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(a + b):
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    out = tuple(merged)
-    return a if out == a else b if out == b else out
-
-
 class _Final(NamedTuple):
-    """What a finished writer left: its last write seq, and the addresses
-    its stamps held in its final state (a tuple: only walked, and smaller
-    than a set)."""
+    """What a finished writer left: its last write seq, the addresses its
+    stamps held in its final state (a tuple: only walked, and smaller
+    than a set), and the workspace that absorbed it, as its ``index``-th
+    absorption."""
 
     seq: int
     cells: tuple[Address, ...]
+    by: int
+    index: int
 
 
-#: Per-program record of finished writers: tid -> its _Final. Entries are
-#: added, never changed or removed.
-Record = dict
+#: What one view knows retired: absorber -> how many of its absorptions
+#: it knows, for absorbers it does not know retired. Never changed in
+#: place, so workspaces and diffs share it.
+Summary = dict
+
+
+class Record:
+    """One program's absorbed writers: each one's _Final, and each
+    absorber's absorptions in order. Entries are added, never changed or
+    removed, and only an absorber appends to its own list."""
+
+    def __init__(self) -> None:
+        self.finals: dict[int, _Final] = {}
+        self.absorbed: dict[int, list[int]] = {}
+
+    def retired(self, summary: Summary, writer: int) -> bool:
+        """Whether ``writer`` is retired in the view ``summary``."""
+        final = self.finals.get(writer)
+        while final is not None:
+            if final.index < summary.get(final.by, 0):
+                return True
+            final = self.finals.get(final.by)
+        return False
+
+    def merge(self, mine: Summary, theirs: Summary) -> tuple[Summary, list[int]]:
+        """The summary of what the views ``mine`` and ``theirs`` know
+        together, and the writers retired in it but not in ``mine``: the
+        absorptions ``theirs`` counts beyond ``mine``, of absorbers not
+        retired in ``mine``, and below each whatever it absorbed beyond
+        ``mine``'s count. A newly retired absorber leaves the summary."""
+        merged = mine
+        writers: list[int] = []
+        for absorber, n in theirs.items():
+            have = mine.get(absorber, 0)
+            if n > have and not self.retired(mine, absorber):
+                merged = {**merged, absorber: n}
+                writers += self.absorbed[absorber][have:n]
+        newly = []
+        while writers:
+            writer = writers.pop()
+            newly.append(writer)
+            merged.pop(writer, None)
+            writers += self.absorbed.get(writer, ())[mine.get(writer, 0) :]
+        return merged, newly
 
 
 @dataclass(frozen=True)
@@ -219,22 +214,22 @@ class Diff(NamedTuple):
     ``writes`` holds the sender's full latest-write map, one entry per
     address it knows (cells still carrying the initial stamp included, so
     a fresh receiver learns the whole picture). ``sender_knowledge`` is a
-    copy of the sender's counters for the writers it has not seen retire;
-    ``retired`` holds the writers it has, and ``record`` is where their
-    final seqs and addresses are kept.
+    copy of the sender's counters for the writers it has not seen retire,
+    and ``summary`` the sender's summary of those it has.
 
     ``index`` groups the addresses of the cells of ``writes`` written by
     live writers, by writer; it is shared with the sender, which copies
-    it before it next changes it. No diff is ever changed, so the shared
-    empty default is safe. A named tuple, because one is built on every
-    release.
+    it before it next changes it. ``terminal`` is the sender's tid when
+    this is its terminal diff, whose receiver absorbs it. No diff is ever
+    changed, so the shared empty defaults are safe. A named tuple,
+    because one is built on every release.
     """
 
     sender_knowledge: dict[int, int]
     writes: dict[Address, Cell]
     index: CellIndex = {}
-    retired: Retired = ()
-    record: Record | None = None
+    summary: Summary = {}
+    terminal: int | None = None
 
 
 def global_addresses(names: Iterable[str]) -> dict[str, Address]:
@@ -254,7 +249,8 @@ class Workspace:
 
     Workspaces that exchange diffs belong to one program: each is either
     seeded with the program's globals, or empty until its first
-    ``apply_diff`` adopts a whole diff.
+    ``apply_diff`` adopts a whole diff, and all share the program's
+    ``record``. A workspace given none gets a record of its own.
     """
 
     def __init__(
@@ -262,6 +258,7 @@ class Workspace:
         owner: int,
         globals: Mapping[str, Any] | Iterable[tuple[str, Any]] = (),
         names: Mapping[str, Address] | None = None,
+        record: Record | None = None,
     ) -> None:
         """``names``, when given, is ``global_addresses`` of the globals'
         names, for a caller that built that table already."""
@@ -279,10 +276,9 @@ class Workspace:
         # Knowledge of the writers not known retired; see the module
         # docstring. ``knowledge`` is the whole vector.
         self._live: dict[int, int] = {}
-        self._retired: Retired = ()
-        # Finished writers; a fresh workspace takes its first sender's,
-        # so one record serves every workspace of a program.
-        self._record: Record = {}
+        self._summary: Summary = {}
+        self._record = record if record is not None else Record()
+        self._terminal: int | None = None  # the owner, once it retires
         self._write_counter = 0
         # Global slots are burned out of the root's allocation sequence so
         # root allocations can never collide with named globals.
@@ -303,7 +299,8 @@ class Workspace:
         """Writer id -> highest write seq observed, retired writers
         included (read back from the record: introspection only)."""
         record = self._record
-        out = {w: record[w].seq for w in _retired_tids(self._retired) if record[w].seq}
+        retired = record.merge({}, self._summary)[1]  # every writer retired here
+        out = {w: record.finals[w].seq for w in retired if record.finals[w].seq}
         out.update(self._live)
         return out
 
@@ -353,20 +350,16 @@ class Workspace:
         diff brings them back; see the module docstring. Other cells, and
         addresses not held, are left alone.
         """
-        cells, retired = self.cells, self._retired
+        cells, summary = self.cells, self._summary
         for addr in addrs:
             cell = cells.get(addr)
-            if cell is not None and _is_retired(retired, cell[0][0]):
+            if cell is not None and self._record.retired(summary, cell[0][0]):
                 del cells[addr]  # a retired writer's cell is not indexed
 
     def retire(self) -> None:
-        """Finish the owner's writes, before its terminal release: enter
-        its final seq and stamped addresses in the record, and from then
-        on know the owner as a retired writer."""
-        owner = self.owner
-        self._record[owner] = _Final(self._write_counter, tuple(self._index.get(owner, ())))
-        self._forget_live((owner,))
-        self._retired = _merge_retired(self._retired, ((owner, owner + 1),))
+        """Finish the owner's writes, before its terminal release: the
+        next diff is its terminal one, and its receiver absorbs it."""
+        self._terminal = self.owner
 
     # ------------------------------------------------------------------
     # per-writer index
@@ -422,12 +415,13 @@ class Workspace:
             dict(self._live),
             dict(self.cells),
             self._index,
-            self._retired,
-            self._record,
+            self._summary,
+            self._terminal,
         )
 
     def apply_diff(self, diff: Diff) -> None:
-        """Merge an incoming diff, all cells or none.
+        """Merge an incoming diff, all cells or none, and absorb its
+        sender if it is a terminal diff.
 
         Only the diff's buckets of live writers it knows further than
         this workspace are walked, and the recorded addresses of writers
@@ -438,25 +432,27 @@ class Workspace:
         A fresh receiver has nothing to defend and adopts the diff's cells
         by copy.
         """
-        cells = self.cells
-        mine = self._live
-        retired = self._retired
-        theirs = diff.sender_knowledge
-        if not cells and not mine and not retired:  # fresh: share all it can
+        if self.cells or self._live or self._summary:
+            self._merge(diff)
+        else:  # fresh: share all it can
             self.cells = dict(diff.writes)
             self._index = diff.index
             self._private = None
-            self._live = dict(theirs)
-            self._learn_retired(diff, _retired_tids(diff.retired))
-            return
-        theirs_retired = diff.retired
-        if theirs_retired is retired or theirs_retired == retired:
-            newly: list[int] = []
-        else:
-            newly = _newly_retired(theirs_retired, retired)
+            self._live = dict(diff.sender_knowledge)
+            self._summary = diff.summary
+        if diff.terminal is not None:
+            self._absorb(diff)
+
+    def _merge(self, diff: Diff) -> None:
+        cells = self.cells
+        mine = self._live
+        summary = self._summary
+        record = self._record
+        theirs = diff.sender_knowledge
+        theirs_summary = diff.summary
+        learned, newly = record.merge(summary, theirs_summary)
         writes = diff.writes
         index = diff.index
-        record = diff.record
         # writers the sender knows further, with their new counters
         ahead: list[tuple[int, int]] = []
         # (writer, its bucket in the diff, or None for a writer retiring
@@ -471,7 +467,7 @@ class Workspace:
             if top is not None:
                 have = mine.get(writer)
                 if have is None:
-                    if retired and _is_retired(retired, writer):
+                    if record.retired(summary, writer):
                         continue  # known to its end
                     have = 0
                 if top <= have:
@@ -485,7 +481,7 @@ class Workspace:
                 bucket = None
                 addrs = [
                     addr
-                    for addr in record[writer].cells
+                    for addr in record.finals[writer].cells
                     if (cell := writes.get(addr)) is not None and cell[0][0] == writer
                 ]
             got = []
@@ -502,7 +498,7 @@ class Workspace:
                     continue
                 held = local[0]
                 was = held[0]
-                if held[1] <= theirs.get(was, 0) or _is_retired(theirs_retired, was):
+                if held[1] <= theirs.get(was, 0) or record.retired(theirs_summary, was):
                     got.append((addr, incoming))
                     if was != writer:
                         moved.append((addr, was))
@@ -529,22 +525,22 @@ class Workspace:
             for old, addrs in leaving.items():
                 self._unindex(old, addrs)
         mine.update(ahead)
-        if newly:
-            self._forget_live(newly)
-            self._learn_retired(diff, newly)
+        self._forget_live(newly)
+        self._summary = learned
 
-    def _learn_retired(self, diff: Diff, newly: Iterable[int]) -> None:
-        """Take the diff's retired writers, ``newly`` being those new
-        here, and its record if this workspace has none of its own; a
-        second record of the same program gets the new entries copied."""
-        record, theirs = self._record, diff.record
-        if theirs is not None and theirs is not record:
-            if not record:
-                self._record = theirs
-            else:
-                for writer in newly:
-                    record.setdefault(writer, theirs[writer])
-        self._retired = _merge_retired(self._retired, diff.retired)
+    def _absorb(self, diff: Diff) -> None:
+        """Enter the terminal diff's sender, just merged as a live writer,
+        as this workspace's next absorption: it retires here, and so does
+        all it absorbed, which its diff counted."""
+        writer, owner = diff.terminal, self.owner
+        absorbed = self._record.absorbed.setdefault(owner, [])
+        cells = tuple(diff.index.get(writer, ()))
+        final = _Final(diff.sender_knowledge.get(writer, 0), cells, owner, len(absorbed))
+        self._record.finals[writer] = final
+        absorbed.append(writer)
+        self._summary = {a: n for a, n in self._summary.items() if a != writer}
+        self._summary[owner] = len(absorbed)
+        self._forget_live((writer,))
 
     # ------------------------------------------------------------------
     # introspection helpers
@@ -573,15 +569,14 @@ class Workspace:
             )
         for writer, seq in knowledge.items():
             assert seq >= 0 and writer >= _INITIAL_WRITER
-        # Retired writers: well-formed ranges, each writer recorded, none
-        # also counted live.
-        retired, record = self._retired, self._record
-        end = -1
-        for lo, hi in retired:
-            assert end < lo < hi, f"malformed retired ranges {retired}"
-            end = hi
-        assert all(w in record for w in _retired_tids(retired)), "retired writer unrecorded"
-        assert not any(_is_retired(retired, w) for w in self._live), "retired writer live"
+        # The summary counts absorptions that happened, of absorbers not
+        # retired here; no retired writer is also counted live.
+        summary, record = self._summary, self._record
+        for absorber, n in summary.items():
+            assert 0 < n <= len(record.absorbed[absorber]), f"bad count for {absorber}"
+            assert not record.retired(summary, absorber), f"retired absorber {absorber}"
+        retired = set(record.merge({}, summary)[1])
+        assert retired.isdisjoint(self._live), "retired writer live"
         # The index is exact: each bucket holds the addresses of the
         # cells stamped by its live writer, no bucket is empty, and no
         # cell a live writer stamped is left out. A retired writer's
@@ -589,7 +584,7 @@ class Workspace:
         indexed = 0
         for writer, bucket in self._index.items():
             assert bucket, f"empty bucket for writer {writer}"
-            assert not _is_retired(retired, writer), f"bucket for retired writer {writer}"
+            assert writer not in retired, f"bucket for retired writer {writer}"
             for addr in bucket:
                 cell = self.cells.get(addr)
                 assert cell is not None and cell.stamp.writer == writer, (
@@ -603,8 +598,8 @@ class Workspace:
             writer = cell.stamp.writer
             if writer == _INITIAL_WRITER:
                 assert addr.owner == ROOT_THREAD, f"initial cell {addr} outside the globals"
-            elif _is_retired(retired, writer):
-                final = record[writer]
+            elif writer in retired:
+                final = record.finals[writer]
                 assert cell.stamp.seq <= final.seq and addr in final.cells, (
                     f"cell {addr} stamped {cell.stamp} outside its writer's record"
                 )

@@ -450,8 +450,9 @@ class Endpoint:
 
     def release_terminal(self, ws: Workspace) -> SyncLabel:
         """Death release under the reserved label (thread, 0). The
-        workspace retires its owner first, so whoever claims the diff
-        knows the thread's writes to their end."""
+        workspace retires its owner first, so the diff is terminal: the
+        one acquire that claims it absorbs the thread, its writes known
+        to their end."""
         if self._hook is not None:
             self._hook()
         label = SyncLabel(self.thread, TERMINAL_SEQ)

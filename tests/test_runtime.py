@@ -23,6 +23,8 @@ import time
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from determ import runtime
 from determ.errors import (
@@ -970,7 +972,7 @@ def test_waited_tasks_leave_no_bookkeeping():
     for k in range(200):
         handle = root.spawn_task(lambda ctx, k=k: k)
         assert root.taskwait(handle) == k
-    assert rt._spawned_by == {}
+    assert rt._unwaited == set()
     rt.finish()
 
 
@@ -992,17 +994,18 @@ def test_finished_threads_leave_the_registry_lifecycle_sets():
         )
     assert root.read("total") == 200
     # A terminal release comes before its thread is marked done.
-    assert reg.wait_unwound(range(1, rt._next_tid), timeout=10.0)
+    assert reg.wait_unwound(range(1, root._children + 1), timeout=10.0)
     assert sizes() == before
     rt.finish()
 
 
 def test_an_aged_runtime_keeps_flat_sync_state():
     # Each epoch: a 4-member reduction fork_join whose members also write
-    # globals, then one task. Finished members and tasks retire, joined
-    # accumulators are dropped, and only the task result cells (public
-    # through TaskHandle.result) stay, so the root's live knowledge, its
-    # index and its other cells must not grow with the Runtime's age.
+    # globals and spawn and wait one task each, then one task. Finished
+    # members and tasks retire, joined accumulators are dropped, and only
+    # the task result cells (public through TaskHandle.result) stay, so
+    # the root's live knowledge, its index, its summary of retired
+    # writers and its other cells must not grow with the Runtime's age.
     rt = Runtime({"total": 0, "g0": 0, "g1": 0, "g2": 0, "g3": 0})
     root = rt.root()
     results = set()
@@ -1010,10 +1013,18 @@ def test_an_aged_runtime_keeps_flat_sync_state():
     def body(ctx):
         ctx.write(f"g{ctx.rank}", ctx.read(f"g{ctx.rank}") + ctx.rank)
         ctx.contribute("total", ctx.rank + 1)
+        handle = ctx.spawn_task(lambda t: 1)
+        assert ctx.taskwait(handle) == 1
+        results.add(handle.result)
 
     def counts():
         ws = root.ws
-        return len(ws._live), len(ws._index), len(ws.cells.keys() - results)
+        return (
+            len(ws._live),
+            len(ws._index),
+            len(ws._summary),
+            len(ws.cells.keys() - results),
+        )
 
     at_50 = None
     for epoch in range(1, 501):
@@ -1027,6 +1038,24 @@ def test_an_aged_runtime_keeps_flat_sync_state():
     assert root.read("g3") == 3 * 500
     root.ws.check_invariants()
     rt.finish()
+
+
+def test_members_that_spawn_many_tasks_keep_a_short_summary():
+    # Each member absorbs its own tasks, so its summary of retired
+    # writers holds one count per absorber, however many tasks retire.
+    rt = Runtime()
+    summaries = {}
+
+    def member(ctx):
+        for k in range(300):
+            assert ctx.taskwait(ctx.spawn_task(lambda t, k=k: k)) == k
+        ctx.ws.check_invariants()
+        summaries[ctx.rank] = dict(ctx.ws._summary)
+
+    rt.root().fork_join([member] * 2)
+    rt.finish()
+    assert len(summaries) == 2
+    assert all(len(summary) <= 2 for summary in summaries.values()), summaries
 
 
 def test_teams_and_tasks_finish_under_rapid_thread_switching():
@@ -1157,12 +1186,26 @@ def test_a_failed_spawn_leaves_no_bookkeeping():
         ctx.ep._hook = None
 
     root.fork_join([body])
-    assert rt._spawned_by == {}
+    assert rt._unwaited == set()
     root.ep._hook = refuse
     with pytest.raises(RuntimeError):
         root.spawn_task(lambda t: 1)
     root.ep._hook = None
-    assert rt._spawned_by == {}
+    assert rt._unwaited == set()
+    rt.finish()
+
+
+def test_a_doomed_taskwait_leaves_no_bookkeeping():
+    rt = Runtime()
+
+    def body(ctx):
+        handle = ctx.spawn_task(lambda t: t.ep.acquire(t.ws, SyncLabel(0, 100)))
+        with pytest.raises(DeadlockError):
+            ctx.taskwait(handle)
+
+    with pytest.raises(DeadlockError):
+        rt.root().fork_join([body])
+    assert rt._unwaited == set()
     rt.finish()
 
 
@@ -1185,8 +1228,105 @@ def test_join_and_taskwait_follow_one_deadlock_rule():
         with pytest.raises(DeadlockError) as info:
             waits[wait](rt.root())
         assert info.value.blocked == (0, 1), (wait, seed)
-        assert rt.errors[1].blocked == (0, 1, 2), (wait, seed)
+        assert rt.errors[1].blocked == (0, 1, 4294967297), (wait, seed)
         rt.finish()
+
+
+def _spawns_task(ctx):
+    ctx.taskwait(ctx.spawn_task(lambda t, r=ctx.rank: t.write("x", r + 1)))
+    ctx.barrier()
+
+
+def _forks_pair(ctx):
+    ctx.fork_join([lambda c: None, lambda c, r=ctx.rank: c.write("x", r + 1)])
+    ctx.barrier()
+
+
+@pytest.mark.parametrize(
+    "member, payload",
+    [
+        (_spawns_task, "@0.1[4294967297.2|8589934593.2]"),
+        (_forks_pair, "@0.1[4294967298.1|8589934594.1]"),
+    ],
+)
+def test_concurrent_spawns_name_their_children_alike_under_every_schedule(member, payload):
+    # Two members start children between the same two collectives; the
+    # k-th child of thread t is t * 2**32 + k, whichever spawns first.
+    for seed in (None, 1, 2, 3, 4, 5):
+        rt = Runtime({"x": 0}, seed=seed, delay=0.001)
+        with pytest.raises(DataRaceError) as info:
+            rt.root().fork_join([member] * 2)
+        assert str(info.value) == f"conflicting concurrent writes: {payload}", seed
+        rt.finish()
+
+
+def test_a_thread_starts_fewer_than_2_32_children():
+    rt = Runtime()
+    root = rt.root()
+    root._children = 2**32 - 2
+    with pytest.raises(ConfigError, match="children"):
+        root.fork([lambda ctx: None] * 2)
+    handle = root.spawn_task(lambda ctx: ctx.tid)
+    assert root.taskwait(handle) == handle.tid == 2**32 - 1
+    with pytest.raises(ConfigError, match="children"):
+        root.spawn_task(lambda ctx: None)
+    rt.finish()
+
+
+# A thread's program: writes of "x" or "y", tasks it spawns and waits at
+# its end, and nested fork_joins, in any order and nesting.
+_nest_programs = st.recursive(
+    st.lists(st.tuples(st.just("write"), st.sampled_from("xy")), max_size=2),
+    lambda inner: st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), st.sampled_from("xy")),
+            st.tuples(st.just("task"), inner),
+            st.tuples(st.just("fork"), st.lists(inner, min_size=1, max_size=2)),
+        ),
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def _run_nest(members, seed):
+    """Run ``members`` as a team; return every thread's id by its place in
+    the program, and the outcome."""
+    rt = Runtime({"x": 0, "y": 0}, seed=seed, delay=0.0005)
+    ids = {}
+
+    def thread(program, place):
+        def body(ctx):
+            ids[place] = ctx.tid
+            handles = []
+            for k, (kind, arg) in enumerate(program):
+                if kind == "write":
+                    ctx.write(arg, len(place) * 10 + k)
+                elif kind == "task":
+                    handles.append(ctx.spawn_task(thread(arg, place + (k,))))
+                else:
+                    ctx.fork_join([thread(p, place + (k, r)) for r, p in enumerate(arg)])
+            for handle in handles:
+                ctx.taskwait(handle)
+
+        return body
+
+    try:
+        rt.root().fork_join([thread(p, (r,)) for r, p in enumerate(members)])
+        error = None
+    except DetermError as err:
+        error = f"{type(err).__name__}: {err}"
+    rt.finish()
+    rt.root().ws.check_invariants()
+    return ids, error, rt.root().ws.state_bytes()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_nest_programs, min_size=2, max_size=3))
+def test_nested_forks_and_tasks_get_ids_and_outcomes_independent_of_schedule(members):
+    first = _run_nest(members, None)
+    for seed in (1, 2):
+        assert _run_nest(members, seed) == first, seed
 
 
 def test_a_fork_whose_second_launch_fails_leaves_a_clean_runtime(monkeypatch):

@@ -23,6 +23,7 @@ from determ.store import (
     Cell,
     Conflict,
     Diff,
+    Record,
     VersionStamp,
     Workspace,
     covers,
@@ -416,10 +417,11 @@ def _index_of(writes):
     return index
 
 
-def _index_of_live(diff):
+def _index_of_live(diff, record):
     """The same, for the writers the diff's sender had not seen retire."""
-    retired = {w for lo, hi in diff.retired for w in range(lo, hi)}
-    return {w: b for w, b in _index_of(diff.writes).items() if w not in retired}
+    return {
+        w: b for w, b in _index_of(diff.writes).items() if not record.retired(diff.summary, w)
+    }
 
 
 class _Counted(dict):
@@ -573,20 +575,23 @@ def test_event_set_model_agrees_on_random_histories():
     # order. An owner that starts empty acts only after its first apply,
     # as a member's first operation is its birth acquire. Owners
     # finish with a terminal release (retire, then extract) that one
-    # other owner applies, and never act again; receivers pass the
-    # retirements on. A live owner drops cells that finished writers
+    # other owner applies, absorbing it, and never act again; receivers
+    # pass the retirements on, and so does an absorber that retires in
+    # turn, whose absorptions are then retired through it. A live owner
+    # drops cells that finished writers
     # stamped and that no other live owner holds, as a join drops its
     # members' accumulators (allocated cells, never globals). Every step checks the invariants, the
     # per-writer index and the retired writers among them, and every
     # diff's index must still match its cells at the end.
     empty_adopts = foreign_writes = 0
-    terminal_applies = passed_on = drops = 0
+    terminal_applies = passed_on = chained = drops = 0
     for seed in range(60):
         rng = random.Random(seed)
         init = {"x": 0, "y": 0}
         owners = [1, 2, 3, 4, 5, 6]
         starts = {t: init if rng.random() < 0.5 else {} for t in owners}
-        real = {t: Workspace(t, starts[t]) for t in owners}
+        record = Record()
+        real = {t: Workspace(t, starts[t], record=record) for t in owners}
         mini = {t: SetWorkspace(t, starts[t]) for t in owners}
         live = list(owners)
         globals_ = set(global_addresses(init).values())
@@ -648,12 +653,19 @@ def test_event_set_model_agrees_on_random_histories():
                 else:
                     real_pairs = None
                     terminal_applies += terminal
+                    # a writer retired here only because its absorber is:
+                    # the chained lookup
+                    summary = real[target]._summary
+                    chained += any(
+                        record.finals[w].index >= summary.get(record.finals[w].by, 0)
+                        for w in record.merge({}, summary)[1]
+                    )
                 mini_conflicts = mini[target].apply(snapshot)
                 assert real_pairs == mini_conflicts, f"seed {seed}"
                 real[t].check_invariants()
                 real[target].check_invariants()
         for diff in diffs:
-            assert diff.index == _index_of_live(diff), f"seed {seed}"
+            assert diff.index == _index_of_live(diff, record), f"seed {seed}"
         for t in owners:
             real[t].check_invariants()
             # Identical final cells, stamp and value alike.
@@ -669,4 +681,4 @@ def test_event_set_model_agrees_on_random_histories():
             for stamp in minted:
                 assert covers(real[t].knowledge, stamp) == mini[t].seen(stamp)
     assert empty_adopts > 0 and foreign_writes > 0
-    assert terminal_applies > 0 and passed_on > 0 and drops > 0
+    assert terminal_applies > 0 and passed_on > 0 and chained > 0 and drops > 0
