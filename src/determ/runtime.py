@@ -22,8 +22,9 @@ Every construct here is sugar for release/acquire patterns:
   or the joining parent, reads raw and folds through ``_fold_partials``
   over a fixed binary tree of ranks; the fold absorbs the reduction
   variable's current value as its leftmost operand and the folder writes
-  the result back with a fresh stamp, so fold points compound and any
-  other write to the variable under a live team is rejected.
+  the result back, so fold points compound. The variable is read-only in
+  the team and in every thread its members start: ``ThreadCtx.write``
+  rejects it there, so only folds write it.
 
 Every collective is a template of release-set and acquire-set steps,
 fixed by the team size (and an ordered region's schedule), whose labels
@@ -372,9 +373,6 @@ class Runtime:
         self.errors: dict[int, BaseException] = {}
         # Spawned tasks not yet waited for; a task's spawner is tid // _CHILDREN.
         self._unwaited: set[int] = set()
-        # Stamps minted by reduction folds; a reduction variable may only
-        # change underneath a team through one of these.
-        self._fold_stamps: set = set()
         self._root = self._peer(0, seeded=True)
         self.registry.register(0)
         self._finished = False
@@ -482,6 +480,10 @@ class ThreadCtx:
         # Every member's first sync event is its birth acquire, seq 1.
         self._counters = [1] * team.size if team else []
         self._children = 0
+        # Reduction variables of the teams this thread runs in, by
+        # address: a member's parent's plus its own team's; a task's
+        # spawner's. Only folds write them, bypassing ``write``.
+        self._read_only: dict[Address, str] = {}
         self._hook = ep._hook
         self._names = rt.names
 
@@ -521,6 +523,10 @@ class ThreadCtx:
             if not isinstance(target, Address):
                 raise ConfigError(f"unknown global {target!r}")
             addr = target
+        if addr in self._read_only:
+            raise ConfigError(
+                f"reduction variable {self._read_only[addr]!r} was written inside the region"
+            )
         self.ws.write(addr, value)
 
     def alloc(self, value: Any = None) -> Address:
@@ -543,6 +549,9 @@ class ThreadCtx:
     ) -> None:
         """Release to the birth labels of ``tids`` in one event, then launch
         each on its body: as the ranks of ``team``, or as tasks if None."""
+        read_only = self._read_only
+        if team is not None and team.reductions:
+            read_only = {**read_only, **{self.addr(s.var): s.var for s in team.reductions}}
         children = [
             self.rt._peer(tid, team=team, rank=rank if team else None)
             for rank, tid in enumerate(tids)
@@ -550,6 +559,7 @@ class ThreadCtx:
         # Deposit birth diffs before the children start looking for them.
         birth = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
         for ctx, body in zip(children, bodies):
+            ctx._read_only = read_only
             self.rt._launch(ctx, lambda c, b=body: c._child_main(b, birth))
 
     def _child_main(self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel) -> None:
@@ -573,7 +583,8 @@ class ThreadCtx:
         try:
             self.ep.acquire_set(self.ws, [SyncLabel(t, TERMINAL_SEQ) for t in tids])
         except DeadlockError:
-            self.rt.registry.wait_unwound(tids, timeout=_JOIN_TIMEOUT, waiter=self.tid)
+            if not self.rt.registry.wait_unwound(tids, timeout=_JOIN_TIMEOUT, waiter=self.tid):
+                raise RuntimeError("threads failed to settle") from None  # runtime bug guard
             failed = [
                 (_ERROR_ORDER.get(type(err).__name__, 3), rank, err)
                 for rank, err in enumerate(map(self.rt.errors.get, tids))
@@ -606,13 +617,16 @@ class ThreadCtx:
     def join(self, team: Team) -> None:
         if self.tid != team.parent:
             raise ConfigError("only the forking thread may join a team")
-        pre_stamps = self._reduction_prestamps(team)
-        self._await(team.members)
-        with self.rt._lock:
-            pending = sorted(t for t in self.rt._unwaited if t // _CHILDREN in team.members)
+        try:
+            self._await(team.members)
+        finally:
+            # The members' tasks are forgotten however the wait ends.
+            with self.rt._lock:
+                pending = sorted(t for t in self.rt._unwaited if t // _CHILDREN in team.members)
+                self.rt._unwaited.difference_update(pending)
         if pending:
             raise ConfigError(f"tasks {pending} were never waited before team join")
-        self._fold_partials(team, pre_stamps)
+        self._fold_partials(team)
         # The members, and every task they waited for, are done: nothing
         # that can still run holds an accumulator, and nobody reads one.
         self.ws.drop(
@@ -694,7 +708,6 @@ class ThreadCtx:
             raise ConfigError(f"unknown barrier algorithm {algorithm!r}")
         steps = self._plan(template)
         fold = self.rank == 0 and bool(team.reductions)
-        pre = self._reduction_prestamps(team) if fold else {}
         acquired = False
         for step in steps:
             if step.kind == "acq":
@@ -702,45 +715,25 @@ class ThreadCtx:
             elif fold and acquired:
                 # Rank 0 now holds every member's accumulator: fold once,
                 # before anything flows back out.
-                self._fold_partials(team, pre)
+                self._fold_partials(team)
                 fold = False
             self._take(step, "barrier")
         if fold:  # a team of one has no steps
-            self._fold_partials(team, pre)
+            self._fold_partials(team)
         if team.reductions:
             self._reset_accumulators(team)
 
-    def _reduction_prestamps(self, team: Team) -> dict[str, Any]:
-        return {
-            spec.var: self.ws.cells[self.addr(spec.var)].stamp
-            for spec in team.reductions
-        }
-
-    def _fold_partials(self, team: Team, pre: dict[str, Any]) -> None:
+    def _fold_partials(self, team: Team) -> None:
         """Fold every member's accumulator into each reduction variable,
         over the rank tree; the folder (a joining parent, or rank 0 of a
-        barrier) holds every member's accumulator as written.
-
-        A user write to a reduction variable under a live team is
-        rejected: the variable's stamp may have moved since ``pre`` only
-        through earlier folds, whose stamps the runtime remembers.
-        """
-        rt = self.rt
+        barrier) holds every member's accumulator as written. It writes
+        through the workspace, since ``write`` rejects the variable under
+        a live team."""
         for idx, spec in enumerate(team.reductions):
             var_addr = self.addr(spec.var)
-            current = self.ws.cells[var_addr].stamp
-            if current != pre[spec.var]:
-                with rt._lock:
-                    blessed = current in rt._fold_stamps
-                if not blessed:
-                    raise ConfigError(
-                        f"reduction variable {spec.var!r} was written inside the region"
-                    )
             partials = [self.ws.read(Address(t, idx + 1)) for t in team.members]
             folded = spec.combine(self.ws.read(var_addr), tree_fold(partials, spec.combine))
-            stamp = self.ws.write(var_addr, folded)
-            with rt._lock:
-                rt._fold_stamps.add(stamp)
+            self.ws.write(var_addr, folded)
 
     def _reset_accumulators(self, team: Team) -> None:
         for idx, spec in enumerate(team.reductions):

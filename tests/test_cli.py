@@ -235,6 +235,7 @@ def test_counts_below_one_are_usage_errors(capsys, args):
     [
         (("demo", "ordered", "--iterations", "-3"), "must be at least 0, got -3"),
         (("bench", "--size", "-5"), "must be at least 0, got -5"),
+        (("bench", "--threads", "x"), "expected an integer, got 'x'"),
     ],
 )
 def test_negative_sizes_are_usage_errors(capsys, args, reason):

@@ -35,6 +35,7 @@ from determ.errors import (
     PairingError,
     UnallocatedError,
 )
+from determ.oracle import enumerate_dc
 from determ.runtime import (
     Reduction,
     Runtime,
@@ -45,6 +46,7 @@ from determ.runtime import (
     perturb_hook,
     tree_fold,
 )
+from determ.script import parse_script
 from determ.store import Address, global_addresses
 from determ.sync import SyncLabel
 
@@ -119,6 +121,46 @@ def test_barrier_plans_pair_every_channel_exactly_once(kind, n):
     assert planned == acquires
     # The template is a pure function of the team size.
     assert _TEMPLATES[kind](n) == (steps, used)
+
+
+def _template_script(template, rounds, first):
+    """``rounds`` rounds of ``template`` as a script, with rank ``first``
+    as thread 0: before each round a rank writes its global, each step
+    becomes a RELSET or ACQSET, and after it the rank reads the others'."""
+    steps, used = template
+    n = len(used)
+    thread = [(rank - first) % n for rank in range(n)]
+    lines = [f"GLOBAL g{rank} 0" for rank in range(n)]
+    for t in range(n):
+        rank = (t + first) % n
+        lines.append(f"THREAD {t}")
+        for r in range(rounds):
+            lines.append(f"WRITE g{rank} {r + 1}")
+            for kind, _, partners in steps[rank]:
+                labels = ",".join(f"{thread[p]}:{r * used[p] + off}" for p, off in partners)
+                lines.append(f"{'RELSET' if kind == 'rel' else 'ACQSET'} {labels}")
+            lines += [f"READ g{p} v{p}" for p in range(n) if p != rank]
+    return "\n".join(lines)
+
+
+# Every case that fits the enumerator's MAX_OPS of 12 per thread.
+_SCRIPTED_TEMPLATES = [(kind, n, 1) for kind in sorted(_TEMPLATES) for n in range(1, 5)] + [
+    ("tree", n, 2) for n in (1, 2)
+] + [("pairwise", n, 2) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("kind, n, rounds", _SCRIPTED_TEMPLATES)
+def test_collective_templates_have_one_outcome_over_every_schedule(kind, n, rounds):
+    # enumerate_dc explores every schedule of the emitted script: a
+    # template pairs exactly and cannot deadlock only if the outcome is
+    # one STATE; after a barrier, thread 0 holds every rank's last write.
+    for first in range(n):
+        result = enumerate_dc(parse_script(_template_script(_TEMPLATES[kind](n), rounds, first)))
+        assert len(result.outcomes) == 1, (first, result.outcomes)
+        (outcome,) = result.outcomes
+        assert outcome.kind == "STATE", (first, outcome)
+        if not kind.startswith("ordered"):
+            assert sorted(outcome.body.split()) == [f"g{p}={rounds}" for p in range(n)], first
 
 
 def test_four_rank_tree_template_is_pinned():
@@ -679,6 +721,68 @@ def test_writing_the_reduction_variable_inside_region_is_rejected():
     rt.finish()
 
 
+def _member_writes(rank, algorithm):
+    def body(ctx):
+        if ctx.rank == rank:
+            ctx.write("total", 99)
+        ctx.contribute("total", 1)
+        ctx.barrier(algorithm=algorithm)
+
+    return body
+
+
+def _task_writes(ctx):
+    ctx.taskwait(ctx.spawn_task(lambda t: t.write("total", 7)))
+    ctx.contribute("total", 1)
+
+
+def _nested_member_writes(ctx):
+    ctx.fork_join([lambda c: None, lambda c: c.write("total", 7)])
+    ctx.contribute("total", 1)
+
+
+@pytest.mark.parametrize(
+    "body, writer",
+    [
+        # Rank 0 folds at the barrier: its own write may not seed the fold.
+        (_member_writes(0, "tree"), 1),
+        (_member_writes(0, "pairwise"), 1),
+        (_member_writes(1, "tree"), 2),
+        (_member_writes(1, "pairwise"), 2),
+        # Both members' tasks write it: the first task's write is
+        # reported, not a race between the two.
+        (_task_writes, 4294967297),
+        # The inner team declares no reduction; it inherits the outer one's.
+        (_nested_member_writes, 4294967298),
+    ],
+    ids=["rank0-tree", "rank0-pairwise", "rank1-tree", "rank1-pairwise", "task", "nested"],
+)
+def test_a_reduction_variable_is_read_only_in_its_team(body, writer):
+    # The write raises in the writer, and the join reports it once the
+    # rest of the team is doomed or done.
+    for seed in (None, 1, 2):
+        rt = Runtime({"total": 0}, seed=seed, delay=0.0005)
+        with pytest.raises(ConfigError) as info:
+            rt.root().fork_join([body] * 2, [Reduction("total", 0, operator.add)])
+        assert str(info.value) == "reduction variable 'total' was written inside the region"
+        assert rt.errors[writer] is info.value, seed
+        rt.finish()
+
+
+def test_the_parent_may_write_the_reduction_variable_before_it_joins():
+    # The parent is outside its team: its own write seeds the join's fold.
+    for seed in (None, 1, 2):
+        rt = Runtime({"total": 0}, seed=seed, delay=0.0005)
+        root = rt.root()
+        team = root.fork(
+            [lambda ctx: ctx.contribute("total", 1)] * 2, [Reduction("total", 0, operator.add)]
+        )
+        root.write("total", 50)
+        root.join(team)
+        assert root.read("total") == 52, seed
+        rt.finish()
+
+
 def test_contribute_requires_a_declared_reduction():
     rt = Runtime({"x": 0})
     errs = []
@@ -963,6 +1067,33 @@ def test_member_tasks_must_be_waited_before_join():
     with pytest.raises(ConfigError) as info:
         rt.root().fork_join([body])
     assert "never waited" in str(info.value)
+    rt.finish()
+
+
+def test_a_failed_member_leaves_no_unwaited_task():
+    # The task's terminal diff stays unclaimed: a handle that leaked out
+    # of the member could still wait it.
+    rt = Runtime()
+
+    def body(ctx):
+        ctx.spawn_task(lambda t: 1)
+        raise ValueError("member failed")
+
+    with pytest.raises(ValueError):
+        rt.root().fork_join([body])
+    assert rt._unwaited == set()
+    rt.finish()
+
+
+def test_an_unwind_that_times_out_is_a_runtime_error(monkeypatch):
+    # A doomed join whose children never settle may not go on to read a
+    # partial rt.errors.
+    rt = Runtime(seed=1, delay=0.0005)
+    monkeypatch.setattr(rt.registry, "wait_unwound", lambda *args, **kwargs: False)
+    with pytest.raises(RuntimeError, match="threads failed to settle"):
+        rt.root().fork_join([lambda ctx: ctx.ep.acquire(ctx.ws, SyncLabel(0, 100))] * 2)
+    monkeypatch.undo()
+    assert rt.registry.wait_unwound([1, 2], timeout=10.0)
     rt.finish()
 
 
