@@ -75,6 +75,17 @@ _count = _at_least(1)
 _size = _at_least(0)
 
 
+def _delay(raw: str) -> float:
+    """An argparse type for a finite, non-negative delay in seconds."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not 0 <= value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {raw}")
+    return value
+
+
 def _require_threads(n: int) -> None:
     cap = _thread_cap()
     if cap is not None and n > cap:
@@ -257,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run one bundled scenario")
     p.add_argument("name", choices=sorted(demos.DEMOS))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delay", type=float, default=0.002)
+    p.add_argument("--delay", type=_delay, default=0.002)
     p.add_argument("--threads", type=_count, default=4)
     p.add_argument("--iterations", type=_size, default=16)
     p.set_defaults(func=_cmd_demo)
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("script")
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delay", type=float, default=0.002)
+    p.add_argument("--delay", type=_delay, default=0.002)
     p.add_argument("--max-states", type=_count, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_check)
 

@@ -34,25 +34,38 @@ Two ops of different threads conflict when running them in the other
 order may change what either does:
 
 * paired-channel model: READ, WRITE and ALLOC touch only the thread's
-  private workspace and conflict with nothing. Two RELs conflict when
-  their target sets overlap, two ACQs when their named sets overlap. A
-  REL ``r`` and an ACQ at label ``L`` conflict unless "``L`` names
-  ``r``" and "``r`` targets ``L``" are both true or both false. Both
-  false, they touch disjoint channel entries. Both true, they are a
-  matched pair and never need interleaving: the ACQ cannot complete
-  before ``r`` is deposited, and if it faults on another label first,
-  ``r`` still finds itself among the ACQ's claims and deposits as it
-  would have, while the fault names the same labels in either order. A
-  REL is always enabled; an ACQ settles only when it is ready, and only
-  a REL aimed at it that it does not name (a conflict) can then make it
-  fault instead.
+  private workspace and conflict with nothing. Neither do two sync
+  events of one kind:
+
+  - Two RELs commute. A REL reads only ``claims``, which only ACQs
+    write, and its own thread. It writes only entries keyed by its own
+    label (``rel_targets[r]``, ``targeted[L][r]``), its own status and
+    the violations, which are compared as a set. A REL is always
+    enabled.
+  - Two ACQs commute. An ACQ reads ``targeted`` at its own label and
+    ``rel_targets``, which only RELs write. It writes ``claims`` at its
+    own label, which only RELs read, and pops its own ``targeted``
+    entry. So whether it is ready, or faults, depends on RELs alone.
+
+  A REL ``r`` and an ACQ at ``L`` conflict unless "``L`` names ``r``"
+  and "``r`` targets ``L``" are both true or both false. Both false,
+  they touch disjoint channel entries. Both true, they are a matched
+  pair: the ACQ cannot complete before ``r`` is deposited, and if it
+  faults on another label first, ``r`` still finds itself among its
+  claims and deposits as it would have, while the fault names the same
+  labels in either order. So once an ACQ is ready, only a REL aimed at
+  it that it does not name, a conflict, can make it fault instead.
 * shared store: REL and ACQ only advance their thread's event counter,
   which can enable another thread's acquire but disable or change
   nothing, so every enabled one settles. READ ``g`` conflicts with
-  WRITE ``g``, and WRITE ``g`` with any access to ``g``. Only ALLOC
-  makes addresses, so an access through a local reaches allocated cells
-  alone: it conflicts with every other access through a local and with
-  every ALLOC. An inert READ (below) conflicts with nothing.
+  WRITE ``g``, and WRITE ``g`` with any access to ``g``. An access
+  through a local and an ALLOC conflict with nothing: handles never
+  leave their thread. The parser forbids computing with a handle; a
+  WRITE stores an integer expression over value locals and an ALLOC
+  ``None``, so no cell ever holds an address, and a handle reaches only
+  its own thread's fresh cells. A ``@t.k`` name for another thread's
+  cell would break this premise and must bring a rule back. An inert
+  READ (below) conflicts with nothing.
 
 The shared-store model also prunes by liveness (Bozga, Fernandez &
 Ghirvu, SAS 1999). A local of thread ``t`` is live at a pc when some op
@@ -73,10 +86,6 @@ never settles, so it keeps every local and stays the reference. The
 paired-channel model keeps every local: its reads conflict with nothing
 already.
 
-What is left to interleave is what can interact: sync events that share
-a channel, and memory operations that share a cell, a READ among them
-only when the value it binds is used.
-
 :func:`_decode` sums up each op's conflicts once per enumeration as its
 horizon: for every other thread that holds ops it conflicts with, the
 first pc past the last of them. The op is free of conflicts once every
@@ -84,16 +93,12 @@ other live thread has reached its horizon, a test of O(threads) per
 step.
 
 A state costs what its step changed. A clone shares its parent's
-per-thread parts: a paired-channel thread (pc, status, locals, store,
-observed set), or a shared-store thread's locals, and a shared-store
-state also shares its store. The first change to such a part after a
-clone copies it, whichever step makes it, and from then on the clone
-alone owns it; the parent gives up ownership at the clone, so neither
-can change what the other sees. Each part caches its share of the dedup
-key, and a paired-channel thread also its release snapshot; a copy
-starts with empty caches and an owned part clears them before every
-change. The ops are decoded once per enumeration (:func:`_ops`), with
-the labels, stamps and addresses they mint.
+per-thread parts, and a shared-store state also its store. The first
+change to such a part after a clone copies it, and both sides give up
+ownership at the clone, so neither can change what the other sees. Each
+part caches its share of the dedup key, cleared before every change. The
+ops are decoded once per enumeration (:func:`_ops`), with the labels,
+stamps and addresses they mint.
 
 :func:`run_on_runtime` executes the program on :class:`Runtime`, the
 same executor library programs run on, under a seeded schedule
@@ -320,10 +325,8 @@ def _horizon(backwards: list, t: int, op: tuple, conflict) -> tuple[tuple[int, i
 
 def _liveness(plan: _Plan) -> _Live:
     """Per thread, per pc up to and including its end, the locals that
-    are live there: read by some op from that pc on before it binds them
-    again. An op reads the local a cell is reached through, and a
-    WRITE also reads its expression's locals; a READ binds its target
-    and an ALLOC its handle. Nothing is live at a thread's end."""
+    are live there (see the module docstring). Nothing is live at a
+    thread's end."""
     out = []
     for ops in plan:
         live: set[str] = set()
@@ -345,27 +348,20 @@ def _liveness(plan: _Plan) -> _Live:
 
 
 def _dc_conflict(a: tuple, b: tuple) -> bool:
-    """Paired-channel conflicts, between sync events alone: RELs whose
-    target sets overlap, ACQs whose named sets overlap, and a REL and an
-    ACQ unless each names the other or neither does."""
+    """Paired-channel conflicts, between a REL and an ACQ alone: unless
+    each names the other or neither does. Two sync events of one kind
+    commute (see the module docstring)."""
     if a[0] == b[0]:
-        i = 3 if a[0] == _REL else 2  # targets of a REL, names of an ACQ
-        return not a[i].isdisjoint(b[i])
+        return False
     rel, acq = (a, b) if a[0] == _REL else (b, a)
     return (rel[1] in acq[2]) != (acq[1] in rel[3])
 
 
 def _sc_conflict(a: tuple, b: tuple) -> bool:
-    """Shared-store conflicts, between memory operations alone: on one
-    global when either writes it; through locals, which reach allocated
-    cells alone, between any two such accesses and with every ALLOC."""
-    if a[0] > b[0]:
-        a, b = b, a  # now a[0] <= b[0]: READ < WRITE < ALLOC
-    if b[0] == _ALLOC:
-        return a[0] != _ALLOC and a[1] is None
-    if a[1] is None or b[1] is None:
-        return a[1] is b[1]
-    return a[1] == b[1] and b[0] == _WRITE
+    """Shared-store conflicts: on one global when either writes it. An
+    access through a handle and an ALLOC reach only their own thread's
+    fresh cells, so they conflict with nothing."""
+    return a[1] is not None and a[1] == b[1] and _WRITE in (a[0], b[0])
 
 
 def _ops(program: ScriptProgram) -> _Decoded:
@@ -605,17 +601,10 @@ class _DcState:
 
     def settle(self) -> None:
         """Run in place, until none is left, every step no other thread
-        can interact with.
-
-        READ, WRITE and ALLOC read and write only the thread's own store,
-        locals and observed set, and nothing can disable them. A REL,
-        and an ACQ that is ready, run once every other live thread is
-        past their horizon: no sync event those threads have left shares
-        a channel entry with them, except a matched partner, which is
-        ordered after a REL anyway. No other step can then disable them
-        either, so they commute with every step they are moved across
-        (see the module docstring).
-        """
+        can interact with: every READ, WRITE and ALLOC, which touch only
+        the thread's own parts, and every REL, and every ready ACQ, once
+        every other live thread is past its horizon (see the module
+        docstring)."""
         plan, horizons, threads = self.plan, self.horizons, self.threads
         n = len(plan)
         t = idle = 0
@@ -794,8 +783,8 @@ def enumerate_dc(
     model.
 
     Each thread's READ/WRITE/ALLOC ops run eagerly, since they touch only
-    its private workspace, and so does each sync event that no other
-    thread's remaining sync events can interact with; the search
+    its private workspace, and so does each enabled sync event that is
+    mis-paired with no other thread's remaining sync event; the search
     interleaves the rest.
     """
     return _explore(_DcState, program, max_states)
@@ -909,18 +898,9 @@ class _ScState:
 
     def settle(self) -> None:
         """Run in place, until none is left, every enabled REL/ACQ,
-        every inert READ and every memory operation no other thread can
-        interact with; then drop every thread's dead locals.
-
-        A sync op only increments its own thread's event counter: that can
-        enable another thread's acquire but can disable or change nothing.
-        An inert READ binds a local no later op reads, so running it only
-        moves the pc. A memory operation is always enabled, and runs once
-        every other unfinished thread is past its horizon: none of them
-        has an access left that could read what it writes or write what
-        it reads. Each kind commutes with every step it is moved across,
-        and no outcome depends on a dead local (see the module docstring).
-        """
+        every inert READ and every memory operation whose horizon every
+        other unfinished thread is past; then drop every thread's dead
+        locals (see the module docstring)."""
         steps, gates, pcs = self.steps, self.gates, self.pcs
         n = len(gates)
         t = idle = 0
@@ -986,10 +966,11 @@ def enumerate_sc(
     """All outcomes of the same script over a single shared store.
 
     Enabled REL/ACQ ops run eagerly, since they only advance their own
-    thread's event counter, and so do each READ whose value is never
-    used and each memory operation that no other thread's remaining
-    accesses can interact with; the search interleaves the rest. States
-    that differ only in values no op will read are one state.
+    thread's event counter, and so do READs whose value is never used,
+    accesses through handles and ALLOCs, which reach only their own
+    thread's cells, and accesses to a global that no other thread's
+    remaining accesses can interact with; the search interleaves the
+    rest. States that differ only in values no op will read are one state.
     """
     return _explore(_ScState, program, max_states)
 

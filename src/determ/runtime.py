@@ -24,7 +24,8 @@ Every construct here is sugar for release/acquire patterns:
   variable's current value as its leftmost operand and the folder writes
   the result back, so fold points compound. The variable is read-only in
   the team and in every thread its members start: ``ThreadCtx.write``
-  rejects it there, so only folds write it.
+  rejects it there, and ``fork`` refuses to reduce it again in a nested
+  team, so only folds write it.
 
 Every collective is a template of release-set and acquire-set steps,
 fixed by the team size (and an ordered region's schedule), whose labels
@@ -608,7 +609,8 @@ class ThreadCtx:
             if spec.var in seen:
                 raise ConfigError(f"reduction variable {spec.var!r} redeclared")
             seen.add(spec.var)
-            self.addr(spec.var)  # must be a known global
+            if self.addr(spec.var) in self._read_only:  # must be a known global
+                raise ConfigError(f"reduction variable {spec.var!r} is reduced by an outer team")
         tids = self._child_tids(len(bodies))
         team = Team(members=tids, parent=self.tid, reductions=specs)
         self._start(tids, bodies, team)

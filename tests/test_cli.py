@@ -39,7 +39,7 @@ def test_check_reports_a_deterministic_verdict(capsys):
     assert code == 0
     assert report["program"] == ["swap"]
     assert report["dc_outcomes"] == ["1"]
-    assert report["dc_states"] == ["2"]
+    assert report["dc_states"] == ["1"]
     assert report["dc_outcome"] == ["STATE x=2 y=1"]
     assert report["trials"] == ["3"]
     assert report["trial_outcome"] == ["STATE x=2 y=1"]
@@ -112,7 +112,7 @@ def test_oracle_output_is_stable_across_invocations(capsys):
 
 
 def test_oracle_state_budget_exits_with_limit_code(capsys):
-    code, _, err = run_cli(capsys, "oracle", "swap", "--max-states", "1")
+    code, _, err = run_cli(capsys, "oracle", "double_release", "--max-states", "1")
     assert code == 4
     assert "state budget" in err
 
@@ -239,6 +239,23 @@ def test_counts_below_one_are_usage_errors(capsys, args):
     ],
 )
 def test_negative_sizes_are_usage_errors(capsys, args, reason):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (("check", "swap", "--delay", "nan"), "must be finite and non-negative, got nan"),
+        (("check", "swap", "--delay", "inf"), "must be finite and non-negative, got inf"),
+        (("check", "swap", "--delay", "-1"), "must be finite and non-negative, got -1"),
+        (("demo", "swap", "--delay", "-1"), "must be finite and non-negative, got -1"),
+        (("demo", "swap", "--delay", "x"), "expected a number, got 'x'"),
+    ],
+)
+def test_bad_delays_are_usage_errors(capsys, args, reason):
     code, out, err = run_cli(capsys, *args)
     assert code == 2
     assert out == ""

@@ -122,7 +122,7 @@ def test_enumeration_state_counts_are_stable():
     # key shows up: every interleaving first, then the reduced search.
     assert _unreduced(enumerate_dc, load_corpus("swap")).states == 32
     assert _unreduced(enumerate_dc, load_corpus("race")).states == 37
-    assert enumerate_dc(load_corpus("swap")).states == 2
+    assert enumerate_dc(load_corpus("swap")).states == 1
     assert enumerate_dc(load_corpus("race")).states == 1
 
 
@@ -451,20 +451,6 @@ _REFUSALS = {
         "GLOBAL x 0\nTHREAD 0\nREL 2 1\nTHREAD 1\nREL 0 1\nTHREAD 2\nACQ 1 1\n",
         2,
     ),
-    # (1,1) and (2,1) both name the broadcast (0,1).
-    "two_acqs_naming_one_rel": (
-        enumerate_dc,
-        "GLOBAL x 0\nTHREAD 0\nWRITE x 1\nRELSET 1:1,2:1\n"
-        "THREAD 1\nACQ 0 1\nREAD x v\nTHREAD 2\nACQ 0 1\nWRITE x 5\n",
-        1,
-    ),
-    # (0,1) and (1,1) are both aimed at (2,1).
-    "two_rels_at_one_acquire_label": (
-        enumerate_dc,
-        "GLOBAL x 0\nTHREAD 0\nWRITE x 1\nREL 2 1\nTHREAD 1\nWRITE x 2\nREL 2 1\n"
-        "THREAD 2\nACQSET 0:1,1:1\n",
-        1,
-    ),
     # (0,1) names (1,1) and (2,1), which are aimed at (2,2) and (1,2).
     "a_mis_aimed_acqset_partner": (
         enumerate_dc,
@@ -492,6 +478,41 @@ def test_settling_refuses_steps_that_can_interact(name):
     full = _unreduced(enumerate_fn, program)
     assert enumerate_fn(program).outcomes == full.outcomes
     assert len(full.outcomes) == count
+
+
+# Scripts whose steps all commute, so settling runs every one and keeps
+# a single state.
+_COMMUTING = {
+    # (1,1) and (2,1) both name the broadcast (0,1): two ACQs commute.
+    "two_acqs_naming_one_rel": (
+        enumerate_dc,
+        "GLOBAL x 0\nTHREAD 0\nWRITE x 1\nRELSET 1:1,2:1\n"
+        "THREAD 1\nACQ 0 1\nREAD x v\nTHREAD 2\nACQ 0 1\nWRITE x 5\n",
+    ),
+    # (0,1) and (1,1) are both aimed at (2,1): two RELs commute.
+    "two_rels_at_one_acquire_label": (
+        enumerate_dc,
+        "GLOBAL x 0\nTHREAD 0\nWRITE x 1\nREL 2 1\nTHREAD 1\nWRITE x 2\nREL 2 1\n"
+        "THREAD 2\nACQSET 0:1,1:1\n",
+    ),
+    # Each thread reaches only the cell its own ALLOC made.
+    "accesses_through_own_handles": (
+        enumerate_sc,
+        "GLOBAL g 0\n"
+        + "".join(
+            f"THREAD {t}\nALLOC p\nWRITE p {t}\nREAD p v\nWRITE p v + 1\n" for t in range(3)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMUTING))
+def test_settling_runs_steps_that_commute(name):
+    enumerate_fn, text = _COMMUTING[name]
+    program = parse_script(text)
+    reduced = enumerate_fn(program)
+    assert reduced.states == 1
+    assert reduced.outcomes == _unreduced(enumerate_fn, program).outcomes
 
 
 # No shrink phase: shrinking re-enumerates every candidate unreduced and
@@ -780,8 +801,10 @@ def test_op_limit_is_enforced(enumerate_fn):
 
 @pytest.mark.parametrize("enumerate_fn", [enumerate_dc, enumerate_sc])
 def test_state_budget_is_enforced(enumerate_fn):
+    # Each script keeps several states under that model's reduction.
+    name = "double_release" if enumerate_fn is enumerate_dc else "swap"
     with pytest.raises(LimitError):
-        enumerate_fn(load_corpus("swap"), max_states=1)
+        enumerate_fn(load_corpus(name), max_states=1)
 
 
 def test_limits_leave_room_for_the_corpus():

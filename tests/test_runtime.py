@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from determ import runtime
+from determ import oracle, runtime
 from determ.errors import (
     ConfigError,
     DataRaceError,
@@ -143,20 +143,30 @@ def _template_script(template, rounds, first):
     return "\n".join(lines)
 
 
-# Every case that fits the enumerator's MAX_OPS of 12 per thread.
-_SCRIPTED_TEMPLATES = [(kind, n, 1) for kind in sorted(_TEMPLATES) for n in range(1, 5)] + [
-    ("tree", n, 2) for n in (1, 2)
-] + [("pairwise", n, 2) for n in range(1, 5)]
+# One and two rounds of every template at every team size the plan
+# tests cover, with the enumerator's limits raised to fit.
+_SCRIPTED_TEMPLATES = [
+    (kind, n, rounds)
+    for kind in sorted(_TEMPLATES)
+    for n in (1, 2, 3, 4, 5, 8)
+    for rounds in (1, 2)
+]
 
 
 @pytest.mark.parametrize("kind, n, rounds", _SCRIPTED_TEMPLATES)
-def test_collective_templates_have_one_outcome_over_every_schedule(kind, n, rounds):
+def test_collective_templates_have_one_outcome_over_every_schedule(kind, n, rounds, monkeypatch):
     # enumerate_dc explores every schedule of the emitted script: a
     # template pairs exactly and cannot deadlock only if the outcome is
     # one STATE; after a barrier, thread 0 holds every rank's last write.
+    # No step of an exact pairing is mis-paired with another, so the
+    # reduced search settles every one and keeps a single state.
+    monkeypatch.setattr(oracle, "MAX_THREADS", 8)
     for first in range(n):
-        result = enumerate_dc(parse_script(_template_script(_TEMPLATES[kind](n), rounds, first)))
+        program = parse_script(_template_script(_TEMPLATES[kind](n), rounds, first))
+        monkeypatch.setattr(oracle, "MAX_OPS", program.max_ops())
+        result = enumerate_dc(program)
         assert len(result.outcomes) == 1, (first, result.outcomes)
+        assert result.states == 1, first
         (outcome,) = result.outcomes
         assert outcome.kind == "STATE", (first, outcome)
         if not kind.startswith("ordered"):
@@ -766,6 +776,23 @@ def test_a_reduction_variable_is_read_only_in_its_team(body, writer):
             rt.root().fork_join([body] * 2, [Reduction("total", 0, operator.add)])
         assert str(info.value) == "reduction variable 'total' was written inside the region"
         assert rt.errors[writer] is info.value, seed
+        rt.finish()
+
+
+def test_a_nested_team_may_not_reduce_an_outer_team_s_variable():
+    # Its join would fold into the variable by a plain write, which the
+    # outer team's read-only rule forbids; so the inner fork is refused.
+    def outer(ctx):
+        inner = [lambda c: c.contribute("total", 10)] * 2
+        ctx.fork_join(inner, [Reduction("total", 0, operator.add)])
+        ctx.contribute("total", 1)
+
+    for seed in (None, 1, 2):
+        rt = Runtime({"total": 0}, seed=seed, delay=0.0005)
+        with pytest.raises(ConfigError) as info:
+            rt.root().fork_join([outer] * 2, [Reduction("total", 0, operator.add)])
+        assert str(info.value) == "reduction variable 'total' is reduced by an outer team"
+        assert rt.errors[1] is info.value, seed
         rt.finish()
 
 
