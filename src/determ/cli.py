@@ -320,3 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -16,8 +16,8 @@ class DetermError(Exception):
 class ConfigError(DetermError):
     """A construct was used in a way the model rejects outright.
 
-    Examples: duplicate global names, duplicate sync partners, redeclared
-    reduction variables, collective calls with imbalanced sync counters.
+    Examples: duplicate sync partners, redeclared reduction variables,
+    collective calls with imbalanced sync counters.
     """
 
 

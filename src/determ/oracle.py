@@ -1011,7 +1011,7 @@ def run_on_runtime(
                 ctx.ep.acquire_set(ctx.ws, op.partners)
 
     root = rt.root()
-    peers = [rt._peer(t, seeded=True) for t in root._child_tids(program.nthreads - 1)]
+    peers = [ThreadCtx(rt, t, seeded=True) for t in root._child_tids(program.nthreads - 1)]
     for ctx in peers:
         rt._launch(ctx, script_main)
     rt._run(root, script_main)

@@ -58,7 +58,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DeadlockError, UnallocatedError
 from .store import Address, Record, Workspace, global_addresses
@@ -372,9 +372,10 @@ class Runtime:
         self._delay = delay
         self._trace_lines: list[str] | None = [] if trace else None
         self.errors: dict[int, BaseException] = {}
-        # Spawned tasks not yet waited for; a task's spawner is tid // _CHILDREN.
+        # Tasks that team members spawned and have not waited for, which
+        # their team's join checks; a task's spawner is tid // _CHILDREN.
         self._unwaited: set[int] = set()
-        self._root = self._peer(0, seeded=True)
+        self._root = ThreadCtx(self, 0, seeded=True)
         self.registry.register(0)
         self._finished = False
 
@@ -385,27 +386,9 @@ class Runtime:
             if self._trace_lines is not None:
                 self._trace_lines.append(line)
 
-    def _endpoint(self, tid: int) -> Endpoint:
-        recorder = self._record_trace if self._trace_lines is not None else None
-        hook = perturb_hook(self._seed, tid, self._delay)
-        return Endpoint(self.registry, tid, hook=hook, recorder=recorder)
-
     def _record_error(self, tid: int, err: BaseException) -> None:
         with self._lock:
             self.errors[tid] = err
-
-    def _peer(
-        self,
-        tid: int,
-        seeded: bool = False,
-        team: Team | None = None,
-        rank: int | None = None,
-    ) -> "ThreadCtx":
-        """Build ``tid``'s context over an empty workspace, or over one
-        holding the globals when ``seeded``."""
-        start, names = (self._globals, self.names) if seeded else ((), None)
-        ws = Workspace(tid, start, names=names, record=self._record)
-        return ThreadCtx(self, tid, ws, self._endpoint(tid), team, rank)
 
     def _run(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
         """Run ``main(ctx)`` to its end on the calling thread.
@@ -467,25 +450,33 @@ class ThreadCtx:
         self,
         rt: Runtime,
         tid: int,
-        ws: Workspace,
-        ep: Endpoint,
         team: Team | None = None,
-        rank: int | None = None,
+        rank: int = -1,
+        read_only: Mapping[Address, str] = {},
+        seeded: bool = False,
     ) -> None:
+        """Build the whole thread: a workspace seeded with the globals,
+        or empty until its birth acquire, and one perturbation stream,
+        which its endpoint shares."""
         self.rt = rt
         self.tid = tid
-        self.ws = ws
-        self.ep = ep
         self.team = team
-        self.rank = rank if rank is not None else -1
+        self.rank = rank
+        if seeded:
+            self.ws = Workspace(tid, rt._globals, names=rt.names, record=rt._record)
+        else:
+            self.ws = Workspace(tid, record=rt._record)
+        self._hook = perturb_hook(rt._seed, tid, rt._delay)
+        recorder = rt._record_trace if rt._trace_lines is not None else None
+        self.ep = Endpoint(rt.registry, tid, hook=self._hook, recorder=recorder)
+        # Reduction variables of the teams this thread runs in, by
+        # address: a member's parent's plus its own team's; a task's
+        # spawner's. Only folds write them, bypassing ``write``. Never
+        # changed, so threads share it.
+        self._read_only = read_only
         # Every member's first sync event is its birth acquire, seq 1.
         self._counters = [1] * team.size if team else []
         self._children = 0
-        # Reduction variables of the teams this thread runs in, by
-        # address: a member's parent's plus its own team's; a task's
-        # spawner's. Only folds write them, bypassing ``write``.
-        self._read_only: dict[Address, str] = {}
-        self._hook = ep._hook
         self._names = rt.names
 
     # -- data operations -------------------------------------------------
@@ -554,13 +545,12 @@ class ThreadCtx:
         if team is not None and team.reductions:
             read_only = {**read_only, **{self.addr(s.var): s.var for s in team.reductions}}
         children = [
-            self.rt._peer(tid, team=team, rank=rank if team else None)
+            ThreadCtx(self.rt, tid, team, rank if team else -1, read_only)
             for rank, tid in enumerate(tids)
         ]
         # Deposit birth diffs before the children start looking for them.
         birth = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
         for ctx, body in zip(children, bodies):
-            ctx._read_only = read_only
             self.rt._launch(ctx, lambda c, b=body: c._child_main(b, birth))
 
     def _child_main(self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel) -> None:
@@ -761,8 +751,9 @@ class ThreadCtx:
     def spawn_task(self, body: Callable[["ThreadCtx"], Any]) -> TaskHandle:
         (tid,) = self._child_tids(1)
         self._start((tid,), (body,))
-        with self.rt._lock:
-            self.rt._unwaited.add(tid)
+        if self.team is not None:  # no join checks other spawners' tasks
+            with self.rt._lock:
+                self.rt._unwaited.add(tid)
         return TaskHandle(tid, SyncLabel(tid, TERMINAL_SEQ), Address(tid, 1))
 
     def taskwait(self, handle: TaskHandle) -> Any:

@@ -219,8 +219,8 @@ class Diff(NamedTuple):
 
     ``index`` groups the addresses of the cells of ``writes`` written by
     live writers, by writer; it is shared with the sender, which copies
-    it before it next changes it. ``terminal`` is the sender's tid when
-    this is its terminal diff, whose receiver absorbs it. No diff is ever
+    it before it next changes it. ``terminal`` is the sender's tid on the
+    diff of its terminal release, whose receiver absorbs it. No diff is ever
     changed, so the shared empty defaults are safe. A named tuple,
     because one is built on every release.
     """
@@ -256,7 +256,7 @@ class Workspace:
     def __init__(
         self,
         owner: int,
-        globals: Mapping[str, Any] | Iterable[tuple[str, Any]] = (),
+        globals: Mapping[str, Any] = {},
         names: Mapping[str, Address] | None = None,
         record: Record | None = None,
     ) -> None:
@@ -264,28 +264,19 @@ class Workspace:
         names, for a caller that built that table already."""
         if owner < 0:
             raise ConfigError(f"thread id must be non-negative, got {owner}")
-        if isinstance(globals, Mapping):
-            by_name = dict(globals)
-        else:
-            by_name = {}
-            for name, value in globals:
-                if name in by_name:
-                    raise ConfigError(f"duplicate global name {name!r}")
-                by_name[name] = value
         self.owner = owner
         # Knowledge of the writers not known retired; see the module
         # docstring. ``knowledge`` is the whole vector.
         self._live: dict[int, int] = {}
         self._summary: Summary = {}
         self._record = record if record is not None else Record()
-        self._terminal: int | None = None  # the owner, once it retires
         self._write_counter = 0
         # Global slots are burned out of the root's allocation sequence so
         # root allocations can never collide with named globals.
-        self._alloc_counter = len(by_name) if owner == ROOT_THREAD else 0
-        table = names if names is not None else global_addresses(by_name)
+        self._alloc_counter = len(globals) if owner == ROOT_THREAD else 0
+        table = names if names is not None else global_addresses(globals)
         self.cells: dict[Address, Cell] = {
-            addr: Cell(INITIAL, by_name[name]) for name, addr in table.items()
+            addr: Cell(INITIAL, globals[name]) for name, addr in table.items()
         }
         # Cells written by live writers, by writer, exact; see the module
         # docstring.
@@ -356,11 +347,6 @@ class Workspace:
             if cell is not None and self._record.retired(summary, cell[0][0]):
                 del cells[addr]  # a retired writer's cell is not indexed
 
-    def retire(self) -> None:
-        """Finish the owner's writes, before its terminal release: the
-        next diff is its terminal one, and its receiver absorbs it."""
-        self._terminal = self.owner
-
     # ------------------------------------------------------------------
     # per-writer index
     # ------------------------------------------------------------------
@@ -411,13 +397,7 @@ class Workspace:
     def extract_diff(self) -> Diff:
         """Snapshot everything this workspace knows, for a release."""
         self._private = None  # the diff shares the whole index from now on
-        return Diff(
-            dict(self._live),
-            dict(self.cells),
-            self._index,
-            self._summary,
-            self._terminal,
-        )
+        return Diff(dict(self._live), dict(self.cells), self._index, self._summary)
 
     def apply_diff(self, diff: Diff) -> None:
         """Merge an incoming diff, all cells or none, and absorb its

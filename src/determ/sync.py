@@ -449,14 +449,12 @@ class Endpoint:
         return label
 
     def release_terminal(self, ws: Workspace) -> SyncLabel:
-        """Death release under the reserved label (thread, 0). The
-        workspace retires its owner first, so the diff is terminal: the
-        one acquire that claims it absorbs the thread, its writes known
-        to their end."""
+        """Death release under the reserved label (thread, 0). Its diff
+        is marked terminal: the one acquire that claims it absorbs the
+        thread, its writes known to their end."""
         if self._hook is not None:
             self._hook()
         label = SyncLabel(self.thread, TERMINAL_SEQ)
         self._trace(label, "REL", None)
-        ws.retire()
-        self.registry.deposit_terminal(label, ws.extract_diff())
+        self.registry.deposit_terminal(label, ws.extract_diff()._replace(terminal=self.thread))
         return label

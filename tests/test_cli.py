@@ -7,10 +7,13 @@ texts, so any drift in outcome rendering shows up here.
 """
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 
 import pytest
 
+import determ
 from determ.cli import main
 
 
@@ -288,3 +291,25 @@ def test_console_entry_point_raises_system_exit(monkeypatch, capsys):
         entry()
     assert info.value.code == 0
     assert capsys.readouterr().out.splitlines() == ["x=2", "y=1"]
+
+
+def _run_module(*args):
+    """Run ``python -m ARGS`` on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(determ.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_python_m_determ_cli_runs_the_cli():
+    proc = _run_module("determ.cli", "check", "swap", "--delay", "nan")
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr
+
+
+def test_python_m_determ_prints_what_the_cli_prints(capsys):
+    proc = _run_module("determ", "oracle", "swap")
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(capsys, "oracle", "swap")[1]

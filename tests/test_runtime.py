@@ -481,6 +481,53 @@ def test_perturbation_delays_are_a_pure_function_of_seed_and_tid(monkeypatch):
     assert perturb_hook(5, 3, 0.0) is None
 
 
+def test_each_thread_draws_one_perturbation_stream(monkeypatch):
+    # A thread's data operations and sync events draw on one stream,
+    # made once per thread, so a seed replays the same delays.
+    made = []
+    drawn = collections.Counter()
+
+    def factory(seed, tid, delay):
+        made.append(tid)
+        return lambda: drawn.update((tid,))
+
+    monkeypatch.setattr(runtime, "perturb_hook", factory)
+    shared = []
+
+    def task(ctx):
+        shared.append(ctx._hook is ctx.ep._hook)
+        return ctx.read("x")
+
+    def member(ctx):
+        shared.append(ctx._hook is ctx.ep._hook)
+        ctx.write(ctx.alloc(None), ctx.read("x") + ctx.rank)
+        ctx.barrier()
+        assert ctx.taskwait(ctx.spawn_task(task)) == 0
+
+    rt = Runtime({"x": 0})
+    shared.append(rt.root()._hook is rt.root().ep._hook)
+    rt.root().fork_join([member] * 2)
+    rt.finish()
+    threads = [0, 1, 2, 2**32 + 1, 2 * 2**32 + 1]
+    assert sorted(made) == threads
+    assert sorted(drawn) == threads
+    assert shared == [True] * len(threads)
+
+    made.clear()
+    shared.clear()
+    run = Runtime._run
+
+    def checked_run(rt, ctx, main):
+        shared.append(ctx._hook is ctx.ep._hook)
+        run(rt, ctx, main)
+
+    monkeypatch.setattr(Runtime, "_run", checked_run)
+    program = oracle.load_corpus("chain3")
+    oracle.run_on_runtime(program, seed=1, delay=0.001)
+    assert sorted(made) == list(range(program.nthreads))
+    assert shared == [True] * program.nthreads
+
+
 # ----------------------------------------------------------------------
 # barriers
 # ----------------------------------------------------------------------
@@ -1108,6 +1155,28 @@ def test_a_failed_member_leaves_no_unwaited_task():
 
     with pytest.raises(ValueError):
         rt.root().fork_join([body])
+    assert rt._unwaited == set()
+    rt.finish()
+
+
+def test_only_member_tasks_are_tracked_until_waited():
+    # Only a team's join checks for unwaited tasks, and only its
+    # members': a task that the root or another task spawned and never
+    # waited leaves no entry behind.
+    rt = Runtime()
+    root = rt.root()
+
+    def task(ctx):
+        ctx.spawn_task(lambda t: 1)  # never waited
+
+    root.fork_join([lambda ctx: ctx.taskwait(ctx.spawn_task(task))] * 2)
+    root.spawn_task(lambda t: 1)  # never waited
+    rt.finish()
+    assert rt._unwaited == set()
+
+    rt = Runtime()
+    with pytest.raises(ConfigError, match=rf"tasks \[{2**32 + 1}\] were never waited"):
+        rt.root().fork_join([lambda ctx: ctx.spawn_task(lambda t: 1)])
     assert rt._unwaited == set()
     rt.finish()
 
