@@ -725,16 +725,19 @@ class _DcState:
     # -- terminal ----------------------------------------------------------
 
     def outcome(self, rev: Mapping[Address, str]) -> Outcome:
+        doomed = [t for t, th in enumerate(self.threads) if th.status == "run"]
+        # A doomed thread's pending ACQ counts as claimed with its named
+        # set, as the runtime posts a claim before it blocks.
+        claimed = self.claims.keys() | {self.plan[t][self.threads[t].pc][1] for t in doomed}
         violations = list(self.violations)
         for target, pending in self.targeted.items():
-            if target not in self.claims and len(pending) > 1:
+            if target not in claimed and len(pending) > 1:
                 violations.append(
                     str(PairingError("acquire", target, tuple(pending)))
                 )
         races = {
             t: th.race for t, th in enumerate(self.threads) if th.race
         }
-        doomed = [t for t, th in enumerate(self.threads) if th.status == "run"]
         view = {addr: value for addr, (_, value) in self.threads[0].store.items()}
         return derive_outcome(view, races, violations, doomed, rev)
 
@@ -1011,9 +1014,21 @@ def run_on_runtime(
                 ctx.ep.acquire_set(ctx.ws, op.partners)
 
     root = rt.root()
-    peers = [ThreadCtx(rt, t, seeded=True) for t in root._child_tids(program.nthreads - 1)]
-    for ctx in peers:
-        rt._launch(ctx, script_main)
+    peers: list[ThreadCtx] = []
+    started = 0
+    try:
+        for t in root._child_tids(program.nthreads - 1):
+            peers.append(ThreadCtx(rt, t, seeded=True))
+        for ctx in peers:
+            rt._launch(ctx, script_main)
+            started += 1
+    except BaseException:
+        # Peers are live once built: end those never launched, and the
+        # root, so the launched ones settle.
+        for ctx in peers[started:]:
+            rt.registry.mark_done(ctx.tid)
+        rt.finish()
+        raise
     rt._run(root, script_main)
     rt.finish()
 

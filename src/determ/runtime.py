@@ -42,11 +42,21 @@ Ids follow the program, not the schedule: the k-th child, member or
 task, that thread t starts gets ``t * 2**32 + k``, so the root's
 children are 1, 2, 3, ... whichever of two spawning members runs first.
 
-Logical threads run on parked daemon OS threads shared by every
-``Runtime`` in the process: a launch hands the thread to an idle worker
-and starts a new one only when none is idle. A ``Runtime`` tracks
-logical threads only, through its registry: ``finish`` returns once
-every thread launched on it is done.
+A logical thread's results do not depend on the OS thread that runs
+it. A member or task is live from its start, and is launched on a
+parked daemon OS thread, shared by every ``Runtime`` in the process: a
+launch hands it to an idle worker and starts a new one only when none
+is idle. Launches are lazy where a wait can take their place. A task
+is held unlaunched by its spawner, and ``fork_join`` holds its last
+member; a held child goes to a worker at its spawner's next operation,
+data op or sync event, or when the spawner's body ends or the root
+calls ``finish``, unless that operation is the wait that names it: then
+the waiter, which cannot go on before the child ends, posts its claim
+and runs the child on its own OS thread, if its stack is shallow (see
+``sync._LEND_STACK_SHARE``). So a task overlaps nothing its spawner
+does outside determ between the spawn and its next operation. A
+``Runtime`` tracks logical threads only, through its registry:
+``finish`` returns once every thread started on it is done.
 """
 from __future__ import annotations
 
@@ -376,7 +386,6 @@ class Runtime:
         # their team's join checks; a task's spawner is tid // _CHILDREN.
         self._unwaited: set[int] = set()
         self._root = ThreadCtx(self, 0, seeded=True)
-        self.registry.register(0)
         self._finished = False
 
     # -- plumbing ------------------------------------------------------
@@ -391,28 +400,31 @@ class Runtime:
             self.errors[tid] = err
 
     def _run(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
-        """Run ``main(ctx)`` to its end on the calling thread.
+        """Run ``main(ctx)`` to its end on the calling thread, then launch
+        the child it left held, if any.
 
         An error is recorded strictly before the thread is marked done, so
         whoever waits for done can read it.
         """
         try:
-            main(ctx)
+            try:
+                main(ctx)
+            finally:
+                ctx.ep.launch()
         except BaseException as err:  # noqa: BLE001 - collected, not dropped
             self._record_error(ctx.tid, err)
         finally:
             self.registry.mark_done(ctx.tid)
 
     def _launch(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
-        """Register ``ctx.tid`` and run ``main(ctx)`` on a parked worker.
+        """Run ``main(ctx)`` on a parked worker.
 
-        A thread is live from its launch until it is done, so a peer that
-        was built but never launched (a fork failing halfway) holds off
-        neither quiescence nor `finish`. Launch is early enough: the
-        launcher itself stays live and running until its launches are
-        over, so no thread is doomed for waiting on a peer yet to come.
+        A thread is live from its spawn, when ``ThreadCtx.__init__``
+        registers it, until it is done, so a child held unlaunched counts
+        as running: its spawner launches it, or runs it, before the
+        spawner can block. A launch that fails marks the thread done, so
+        it holds off neither quiescence nor ``finish``.
         """
-        self.registry.register(ctx.tid)
         try:
             _WORKERS.run(functools.partial(self._run, ctx, main))
         except BaseException:
@@ -436,6 +448,7 @@ class Runtime:
         nobody else can run."""
         if self._finished:
             return
+        self._root.ep.launch()  # a task the root never waited for
         self._finished = True
         self.registry.mark_done(0)
         if not self.registry.wait_all_done(timeout=_JOIN_TIMEOUT):  # pragma: no cover
@@ -457,7 +470,7 @@ class ThreadCtx:
     ) -> None:
         """Build the whole thread: a workspace seeded with the globals,
         or empty until its birth acquire, and one perturbation stream,
-        which its endpoint shares."""
+        which its endpoint shares. The thread is live from here on."""
         self.rt = rt
         self.tid = tid
         self.team = team
@@ -466,9 +479,12 @@ class ThreadCtx:
             self.ws = Workspace(tid, rt._globals, names=rt.names, record=rt._record)
         else:
             self.ws = Workspace(tid, record=rt._record)
-        self._hook = perturb_hook(rt._seed, tid, rt._delay)
+        self._perturb = perturb_hook(rt._seed, tid, rt._delay)
+        # Runs before each data op: the perturbation, or ``_launch_held``
+        # while this thread's endpoint may hold a child.
+        self._hook = self._perturb
         recorder = rt._record_trace if rt._trace_lines is not None else None
-        self.ep = Endpoint(rt.registry, tid, hook=self._hook, recorder=recorder)
+        self.ep = Endpoint(rt.registry, tid, hook=self._perturb, recorder=recorder)
         # Reduction variables of the teams this thread runs in, by
         # address: a member's parent's plus its own team's; a task's
         # spawner's. Only folds write them, bypassing ``write``. Never
@@ -478,6 +494,7 @@ class ThreadCtx:
         self._counters = [1] * team.size if team else []
         self._children = 0
         self._names = rt.names
+        rt.registry.register(tid)
 
     # -- data operations -------------------------------------------------
 
@@ -526,6 +543,14 @@ class ThreadCtx:
             self._hook()
         return self.ws.alloc(value)
 
+    def _launch_held(self) -> None:
+        """Before the first data op after a spawn: launch the child the
+        endpoint still holds, if any, then perturb."""
+        self._hook = self._perturb
+        self.ep.launch()
+        if self._perturb is not None:
+            self._perturb()
+
     # -- child threads -----------------------------------------------------
 
     def _child_tids(self, count: int) -> tuple[int, ...]:
@@ -537,21 +562,41 @@ class ThreadCtx:
         return tuple(range(base + 1, base + count + 1))
 
     def _start(
-        self, tids: Sequence[int], bodies: Sequence[Callable], team: Team | None = None
+        self,
+        tids: Sequence[int],
+        bodies: Sequence[Callable],
+        team: Team | None = None,
+        hold: bool = False,
     ) -> None:
         """Release to the birth labels of ``tids`` in one event, then launch
-        each on its body: as the ranks of ``team``, or as tasks if None."""
+        each on its body: as the ranks of ``team``, or as tasks if None.
+        With ``hold``, the last is held on this thread's endpoint instead,
+        until this thread's next operation of any kind. Children that a
+        failure leaves unlaunched are marked done."""
         read_only = self._read_only
         if team is not None and team.reductions:
             read_only = {**read_only, **{self.addr(s.var): s.var for s in team.reductions}}
-        children = [
-            ThreadCtx(self.rt, tid, team, rank if team else -1, read_only)
-            for rank, tid in enumerate(tids)
-        ]
-        # Deposit birth diffs before the children start looking for them.
-        birth = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
-        for ctx, body in zip(children, bodies):
-            self.rt._launch(ctx, lambda c, b=body: c._child_main(b, birth))
+        rt = self.rt
+        children: list[ThreadCtx] = []
+        started = 0
+        try:
+            for rank, tid in enumerate(tids):
+                children.append(ThreadCtx(rt, tid, team, rank if team else -1, read_only))
+            # Deposit birth diffs before the children start looking for them.
+            birth = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
+            for ctx, body in zip(children, bodies):
+                main = functools.partial(ThreadCtx._child_main, body=body, birth=birth)
+                if hold and ctx is children[-1]:
+                    run = functools.partial(rt._run, ctx, main)
+                    self.ep.hold(ctx.ep, functools.partial(rt._launch, ctx, main), run)
+                    self._hook = self._launch_held
+                else:
+                    rt._launch(ctx, main)
+                started += 1
+        except BaseException:
+            for ctx in children[started:]:
+                rt.registry.mark_done(ctx.tid)
+            raise
 
     def _child_main(self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel) -> None:
         """Acquire the birth release, run ``body`` and die with a terminal
@@ -589,7 +634,12 @@ class ThreadCtx:
         self,
         bodies: Sequence[Callable[["ThreadCtx"], Any]],
         reductions: Sequence[Reduction] = (),
+        *,
+        _hold: bool = False,
     ) -> Team:
+        """Start a team, one member per body. Every member is launched,
+        so work before the join stalls none; ``fork_join`` alone passes
+        ``_hold``, to hold the last member for its join to run."""
         bodies = tuple(bodies)
         if not bodies:
             raise ConfigError("fork needs at least one body")
@@ -603,7 +653,7 @@ class ThreadCtx:
                 raise ConfigError(f"reduction variable {spec.var!r} is reduced by an outer team")
         tids = self._child_tids(len(bodies))
         team = Team(members=tids, parent=self.tid, reductions=specs)
-        self._start(tids, bodies, team)
+        self._start(tids, bodies, team, _hold)
         return team
 
     def join(self, team: Team) -> None:
@@ -630,7 +680,7 @@ class ThreadCtx:
         bodies: Sequence[Callable[["ThreadCtx"], Any]],
         reductions: Sequence[Reduction] = (),
     ) -> None:
-        self.join(self.fork(bodies, reductions))
+        self.join(self.fork(bodies, reductions, _hold=True))
 
     # -- collectives -------------------------------------------------------
 
@@ -750,7 +800,7 @@ class ThreadCtx:
 
     def spawn_task(self, body: Callable[["ThreadCtx"], Any]) -> TaskHandle:
         (tid,) = self._child_tids(1)
-        self._start((tid,), (body,))
+        self._start((tid,), (body,), hold=True)
         if self.team is not None:  # no join checks other spawners' tasks
             with self.rt._lock:
                 self.rt._unwaited.add(tid)

@@ -62,7 +62,8 @@ program: each is seeded with the program's globals, or empty until its
 first ``apply_diff`` adopts a whole diff. So every receiver that is not
 empty already holds every initial cell a diff can carry, and the store
 reads a whole cell map in two places only: the copy a release takes,
-and an empty receiver's copy of a diff.
+and an empty receiver's copy of a diff. A terminal release takes none:
+its workspace takes no further op, so it hands its own maps over.
 
 The index changes only when a cell changes writer, so a thread
 overwriting its own cells, or adopting a newer write by a cell's last
@@ -220,7 +221,8 @@ class Diff(NamedTuple):
     ``index`` groups the addresses of the cells of ``writes`` written by
     live writers, by writer; it is shared with the sender, which copies
     it before it next changes it. ``terminal`` is the sender's tid on the
-    diff of its terminal release, whose receiver absorbs it. No diff is ever
+    diff of its terminal release, whose receiver absorbs it; that diff
+    holds the sender's own maps, which the sender handed over. No diff is ever
     changed, so the shared empty defaults are safe. A named tuple,
     because one is built on every release.
     """
@@ -398,6 +400,14 @@ class Workspace:
         """Snapshot everything this workspace knows, for a release."""
         self._private = None  # the diff shares the whole index from now on
         return Diff(dict(self._live), dict(self.cells), self._index, self._summary)
+
+    def extract_terminal(self) -> Diff:
+        """The diff of the owner's terminal release: everything this
+        workspace knows, handed over without a copy, since the owner
+        takes no further op. The workspace is left empty, not shared."""
+        diff = Diff(self._live, self.cells, self._index, self._summary, self.owner)
+        self._live, self.cells, self._index, self._summary, self._private = {}, {}, {}, {}, {}
+        return diff
 
     def apply_diff(self, diff: Diff) -> None:
         """Merge an incoming diff, all cells or none, and absorb its

@@ -31,9 +31,18 @@ target: whichever acquire names that label claims it, so a parent joins
 on a child without knowing how many sync events the child performed.
 The claim fixes the terminal's aim, as a deposit fixes an ordinary
 release's, so every other claim naming it faults the same way.
+
+A claim is posted before it is waited for. A waiter whose claim names
+the terminal release of a child not launched yet can then lend that
+child its own OS thread: the child runs inside the claim, with the lock
+released, while the waiter counts as blocked, and as not running until
+the child is done even if its wait ends first. The waiter cannot go on
+before the child ends anyway, so this changes which OS thread runs the
+child and nothing else.
 """
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -45,6 +54,17 @@ TERMINAL_SEQ = 0
 
 # Defensive bound so a runtime bug cannot hang the test suite forever.
 _WAIT_TIMEOUT = 120.0
+
+# How many children may run nested on one OS thread, each lent it by the
+# thread it runs beneath; a child past this depth goes to another OS
+# thread. One covers a waited task and the last member of a fork_join.
+_INLINE_DEPTH = 1
+
+# A thread lends its OS thread only while its stack holds at most this
+# share of the recursion limit (62 frames of the default 1000). A child
+# run inline starts on top of its lender's stack, so it has at most that
+# many frames fewer to recurse in than on a worker.
+_LEND_STACK_SHARE = 16
 
 
 class SyncLabel(NamedTuple):
@@ -63,9 +83,10 @@ class SyncLabel(NamedTuple):
 
 class _Waiter:
     """One claim in the wait loop: what it waits for, the slot it sleeps
-    on and the fault or doom its wait ends with, once recorded."""
+    on, the fault or doom its wait ends with, once recorded, and whether
+    its thread is lending its OS thread meanwhile."""
 
-    __slots__ = ("acq", "named", "missing", "slot", "fault")
+    __slots__ = ("acq", "named", "missing", "slot", "fault", "lending")
 
     def __init__(
         self,
@@ -79,6 +100,7 @@ class _Waiter:
         self.missing = missing
         self.slot = slot
         self.fault: DetermError | None = None
+        self.lending = False
 
 
 class ChannelRegistry:
@@ -109,6 +131,8 @@ class ChannelRegistry:
         self._waiting: dict[int, _Waiter] = {}
         # release label -> tids in the wait loop whose claim names it
         self._naming: dict[SyncLabel, list[int]] = {}
+        # tid run on a waiter's OS thread -> that waiter's tid
+        self._lenders: dict[int, int] = {}
         self._violations: list[PairingError] = []
 
     # ------------------------------------------------------------------
@@ -128,6 +152,7 @@ class ChannelRegistry:
                 self._live.remove(tid)
                 if tid not in self._blocked:
                     self._running -= 1
+                self._return(tid)
                 self._doom_if_quiescent()
             self._cond.notify_all()
 
@@ -188,7 +213,9 @@ class ChannelRegistry:
             self._aim(rel, targets)
             for target in targets:
                 waiter = self._waiting.get(target.thread)
-                if waiter is not None and waiter.acq != target:
+                # A waiter holding a fault or its doom has run its acquire,
+                # as in the model, and is leaving: it counts as gone.
+                if waiter is not None and (waiter.acq != target or waiter.fault is not None):
                     waiter = None
                 claimed = self._claims.get(target)
                 if claimed is not None and rel not in claimed:
@@ -210,11 +237,23 @@ class ChannelRegistry:
                 self._fill(tid, self._waiting[tid], rel)
 
     def claim(
-        self, acq: SyncLabel, rels: Sequence[SyncLabel], tid: int
+        self,
+        acq: SyncLabel,
+        rels: Sequence[SyncLabel],
+        tid: int,
+        lend: tuple[int, Callable[[], None]] | None = None,
     ) -> dict[SyncLabel, Diff]:
         """Drain all named channels for one acquire event; blocks until
         every one is filled. Returns {release label: diff}. ``tid`` is
-        ``acq.thread``, the thread that blocks."""
+        ``acq.thread``, the thread that blocks.
+
+        The claim is posted first: recorded, checked against the aims of
+        the releases it names and, if one is missing, entered in the wait
+        loop. Then, if a release is missing and ``lend`` is (child, run),
+        ``run`` runs live thread ``child`` to its end on the calling OS
+        thread, with the lock released; ``tid`` does not count as running
+        until ``child`` is done, even once its wait has ended. Then the
+        claim waits as usual."""
         named = frozenset(rels)
         with self._cond._lock:  # type: ignore[attr-defined]
             assert acq not in self._claims, "acquire labels never repeat"
@@ -231,7 +270,7 @@ class ChannelRegistry:
                 if rel not in pending and rel not in self._floating:
                     missing.add(rel)
             if missing:
-                self._wait(tid, _Waiter(acq, named, missing, self._slot()))
+                self._wait(tid, _Waiter(acq, named, missing, self._slot()), lend)
             out: dict[SyncLabel, Diff] = {}
             pending = self._targeted.get(acq, {})
             for rel in named:
@@ -282,14 +321,19 @@ class ChannelRegistry:
         cond = self._cond
         return type(cond)(cond._lock)  # type: ignore[attr-defined]
 
-    def _wait(self, tid: int, waiter: _Waiter) -> None:
-        """Sleep on ``waiter.slot`` until every named release is in, or
-        raise the fault or the doom that ends the wait."""
+    def _wait(
+        self, tid: int, waiter: _Waiter, lend: tuple[int, Callable[[], None]] | None = None
+    ) -> None:
+        """Post ``waiter``, run ``lend`` if given, then sleep on
+        ``waiter.slot`` until every named release is in, or raise the
+        fault or the doom that ends the wait."""
         self._waiting[tid] = waiter
         for rel in waiter.named:
             self._naming.setdefault(rel, []).append(tid)
         timed_out = False
         try:
+            if lend is not None:
+                self._lend(tid, waiter, *lend)
             while True:
                 if waiter.fault is not None:
                     raise waiter.fault
@@ -310,6 +354,33 @@ class ChannelRegistry:
                 if not naming:
                     del self._naming[rel]
 
+    def _lend(self, tid: int, waiter: _Waiter, child: int, run: Callable[[], None]) -> None:
+        """Call ``run``, which runs ``child`` to its end, with the lock
+        released and ``tid`` blocked on ``waiter``. Until ``child`` is
+        done, ``tid`` cannot run, whatever ends its wait: ``_wake`` leaves
+        a lending thread out of the running count, and ``_return`` counts
+        it back in, in the same step that counts ``child`` out."""
+        waiter.lending = True
+        self._lenders[child] = tid
+        self._block(tid)
+        lock = self._cond._lock  # type: ignore[attr-defined]
+        lock.release()
+        try:
+            run()
+        finally:
+            lock.acquire()
+            self._return(child)  # if ``run`` left it live
+
+    def _return(self, child: int) -> None:
+        """Hand the OS thread of ``child``, now done, back to the thread
+        that lent it, if any, which counts as running again unless its
+        wait still blocks it."""
+        tid = self._lenders.pop(child, None)
+        if tid is not None:
+            self._waiting[tid].lending = False
+            if tid not in self._blocked and tid in self._live:
+                self._running += 1
+
     def _block(self, tid: int) -> None:
         """``tid`` can go no further; at quiescence every blocked thread
         is doomed."""
@@ -322,9 +393,10 @@ class ChannelRegistry:
         """Move a blocked ``tid`` back to running and wake its slot."""
         if tid in self._blocked:
             self._blocked.remove(tid)
-            if tid in self._live:
+            waiter = self._waiting[tid]
+            if tid in self._live and not waiter.lending:
                 self._running += 1
-            self._waiting[tid].slot.notify()
+            waiter.slot.notify()
 
     def _fill(self, tid: int, waiter: _Waiter, rel: SyncLabel) -> None:
         waiter.missing.discard(rel)
@@ -377,6 +449,16 @@ def _validate_partners(
     return out
 
 
+def _shallow() -> bool:
+    """Whether the calling thread's stack is shallow enough to lend its
+    OS thread: at most 1/``_LEND_STACK_SHARE`` of the recursion limit."""
+    try:
+        sys._getframe(sys.getrecursionlimit() // _LEND_STACK_SHARE)
+    except ValueError:
+        return True
+    return False
+
+
 class Endpoint:
     """Per-thread face of the registry: owns the label counter.
 
@@ -384,6 +466,14 @@ class Endpoint:
     determinism trials); ``recorder`` receives one trace line per
     (event, partner) pair in the format
     ``EVT <thread> <seq> REL|ACQ <partner-thread> <partner-seq>``.
+
+    An endpoint may hold one child thread that was started but not yet
+    launched (see ``hold``). It goes to another OS thread before this
+    thread's next sync event (``ThreadCtx`` also launches it before a
+    data op), unless that event is an acquire naming the
+    child's terminal release: then the acquire posts its claim and runs
+    the child on this OS thread, within ``_INLINE_DEPTH`` and while this
+    thread's stack is shallow (``_LEND_STACK_SHARE``).
     """
 
     def __init__(
@@ -398,6 +488,11 @@ class Endpoint:
         self.seq = 0
         self._hook = hook
         self._recorder = recorder
+        # The held child: its endpoint, how to launch it on another OS
+        # thread and how to run it on this one.
+        self._held: tuple[Endpoint, Callable[[], None], Callable[[], None]] | None = None
+        # How many threads lend this thread's OS thread beneath it.
+        self._depth = 0
 
     def next_seq(self) -> int:
         """Seq the next sync event will carry; planned steps are checked against it."""
@@ -414,6 +509,30 @@ class Endpoint:
 
     # ------------------------------------------------------------------
 
+    def hold(
+        self, child: "Endpoint", launch: Callable[[], None], run: Callable[[], None]
+    ) -> None:
+        """Hold a started child, whose endpoint is ``child``, unlaunched:
+        ``launch`` hands it to another OS thread, ``run`` runs it to its
+        end on the calling one. Nothing is held already: a child is
+        started by a release, which launches the one held before."""
+        assert self._held is None
+        self._held = (child, launch, run)
+
+    def launch(self) -> None:
+        """Hand the held child, if any, to another OS thread."""
+        if self._held is not None:
+            launch = self._held[1]
+            self._held = None
+            launch()
+
+    def _run_held(self) -> None:
+        """Run the held child on this OS thread, one level deeper."""
+        child, _, run = self._held  # type: ignore[misc]
+        self._held = None
+        child._depth = self._depth + 1
+        run()
+
     def release(self, ws: Workspace, partner: SyncLabel) -> SyncLabel:
         """Send everything known so far toward one acquire event."""
         return self.release_set(ws, (partner,))
@@ -421,6 +540,7 @@ class Endpoint:
     def release_set(self, ws: Workspace, partners: Sequence[SyncLabel]) -> SyncLabel:
         """One event, one diff, deposited on a channel per partner."""
         targets = _validate_partners(partners, min_seq=1)
+        self.launch()
         if self._hook is not None:
             self._hook()
         label = self._advance()
@@ -439,22 +559,35 @@ class Endpoint:
         ascending label order (order is part of the semantics: it fixes
         conflict attribution)."""
         named = _validate_partners(partners, min_seq=TERMINAL_SEQ)
+        held = self._held
+        lend = None
+        if (
+            held is not None
+            and SyncLabel(held[0].thread, TERMINAL_SEQ) in named
+            and self._depth < _INLINE_DEPTH
+            and _shallow()
+        ):
+            lend = (held[0].thread, self._run_held)
+        else:
+            self.launch()
         if self._hook is not None:
             self._hook()
         label = self._advance()
-        diffs = self.registry.claim(label, named, self.thread)
+        diffs = self.registry.claim(label, named, self.thread, lend)
         for rel in sorted(named):
             self._trace(label, "ACQ", rel)
             ws.apply_diff(diffs[rel])
         return label
 
     def release_terminal(self, ws: Workspace) -> SyncLabel:
-        """Death release under the reserved label (thread, 0). Its diff
-        is marked terminal: the one acquire that claims it absorbs the
+        """Death release under the reserved label (thread, 0). It hands
+        over the workspace's cells, which the thread no longer needs, in
+        a terminal diff: the one acquire that claims it absorbs the
         thread, its writes known to their end."""
+        self.launch()
         if self._hook is not None:
             self._hook()
         label = SyncLabel(self.thread, TERMINAL_SEQ)
         self._trace(label, "REL", None)
-        self.registry.deposit_terminal(label, ws.extract_diff()._replace(terminal=self.thread))
+        self.registry.deposit_terminal(label, ws.extract_terminal())
         return label

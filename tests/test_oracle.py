@@ -18,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from determ import oracle
-from determ.errors import LimitError
+from determ import oracle, runtime
+from determ.errors import DeadlockError, LimitError
 from determ.oracle import (
     DEFAULT_MAX_STATES,
     MAX_OPS,
@@ -691,6 +691,76 @@ def test_blocked_mispairing_matches_the_enumerated_outcome(name):
         for seed in range(20):
             outcome = run_on_runtime(program, seed=seed, delay=delay)
             assert outcome.text == expected, f"seed {seed}, delay {delay}"
+
+
+# Scripts on which the runtime once gave an outcome outside the DC set.
+# In the first, thread 0's claim names both releases aimed at it: the
+# runtime records a claim as it is posted, and the model counts a doomed
+# thread's pending ACQ as claimed. In the second, a waiter that holds a
+# fault has, as in the model, run its ACQ, so a later release aimed at it
+# faults the releaser.
+_DIVERGED = {
+    "doomed_claim_names_both_releases": (
+        "GLOBAL g0 0\n"
+        "THREAD 0\nACQSET 2:3,1:1,2:1\n"
+        "THREAD 1\nREL 0 1\n"
+        "THREAD 2\nREL 0 1\n",
+        ["DEADLOCK 0"],
+    ),
+    "release_into_a_faulted_waiter": (
+        "GLOBAL g0 0\n"
+        "THREAD 0\nREL 1 1\nACQSET 1:1,1:2\nACQSET 1:2,1:3\n"
+        "THREAD 1\nACQ 0 1\nREL 0 1\nRELSET 0:1,0:2\n",
+        [
+            "PAIRING acquire pairing violation at (0,1): (1,2), (1,3); "
+            "acquire pairing violation at (0,2): (1,1), (1,2), (1,3)",
+            "PAIRING acquire pairing violation at (0,1): (1,2), (1,3); "
+            "acquire pairing violation at (0,2): (1,1), (1,2), (1,3); "
+            "release pairing violation at (1,2): (0,1), (0,2)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIVERGED))
+def test_every_runtime_outcome_is_a_dc_outcome(name):
+    text, expected = _DIVERGED[name]
+    program = parse_script(text)
+    assert [o.text for o in enumerate_dc(program).outcomes] == expected
+    for delay in (0, 0.0005):
+        for seed in range(6):
+            outcome = run_on_runtime(program, seed=seed, delay=delay)
+            assert outcome.text in expected, f"seed {seed}, delay {delay}"
+
+
+def test_a_failed_launch_leaves_no_peer_waiting(monkeypatch):
+    # Thread 2's launch fails. Thread 1, launched, waits on it: it must
+    # be doomed at once, not sit out the wait timeout.
+    made = []
+
+    class Kept(runtime.Runtime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    run = runtime._WORKERS.run
+    calls = []
+
+    def failing_run(job):
+        calls.append(job)
+        if len(calls) == 2:
+            raise RuntimeError("no worker")
+        run(job)
+
+    monkeypatch.setattr(oracle, "Runtime", Kept)
+    monkeypatch.setattr(runtime._WORKERS, "run", failing_run)
+    program = parse_script("GLOBAL g0 0\nTHREAD 0\nTHREAD 1\nACQ 2 1\nTHREAD 2\nREL 1 1\n")
+    with pytest.raises(RuntimeError, match="no worker"):
+        run_on_runtime(program, seed=0, delay=0)
+    (rt,) = made
+    assert rt.registry.wait_all_done(timeout=0)
+    assert rt.registry.doomed() == (1,)
+    assert isinstance(rt.errors[1], DeadlockError)
 
 
 def test_a_wait_chain_through_a_thread_yet_to_run_is_not_doomed():

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from determ import oracle, runtime
+from determ import oracle, runtime, sync
 from determ.errors import (
     ConfigError,
     DataRaceError,
@@ -382,22 +382,30 @@ def test_threads_that_go_on_after_a_deadlock_can_deadlock_again():
 
 
 def test_each_satisfied_acquire_wakes_its_waiter_at_most_once():
+    # Counted per logical thread: the root's OS thread also runs the
+    # member its join lends it to. ``claiming`` is the logical thread in
+    # the innermost claim on each OS thread, the one any sleep belongs to.
     rt = Runtime(seed=3, delay=0.0005)
     waits = collections.Counter()
     claims = collections.Counter()
+    claiming = threading.local()
 
     class CountingCondition(threading.Condition):
         def wait(self, timeout=None):
-            waits[threading.get_ident()] += 1
+            waits[claiming.tid] += 1
             return super().wait(timeout)
 
     reg = rt.registry
     reg._cond = CountingCondition()
     claim = reg.claim
 
-    def counting_claim(acq, rels, tid):
-        claims[threading.get_ident()] += 1
-        return claim(acq, rels, tid)
+    def counting_claim(acq, rels, tid, *lend):
+        claims[tid] += 1
+        outer, claiming.tid = getattr(claiming, "tid", None), tid
+        try:
+            return claim(acq, rels, tid, *lend)
+        finally:
+            claiming.tid = outer
 
     reg.claim = counting_claim
 
@@ -406,9 +414,10 @@ def test_each_satisfied_acquire_wakes_its_waiter_at_most_once():
             ctx.barrier()
 
     rt.root().fork_join([body] * 4)
-    me = threading.get_ident()
-    # The root blocks in its join until the last terminal release lands.
-    assert (waits[me], claims[me]) == (1, 1)
+    # The root claims once, in its join, and sleeps there at most once:
+    # only until the last terminal release lands.
+    assert claims[0] == 1 and waits[0] <= 1
+    assert set(claims) == {0, 1, 2, 3, 4}
     assert all(waits[t] <= claims[t] for t in waits)
     rt.finish()
 
@@ -1322,16 +1331,25 @@ def _parked_workers(pool, at_least=1):
     return len(pool._idle)
 
 
+def _wait_on_a_worker(root, body):
+    """Spawn ``body`` as a task run by a worker, and wait for it: the task
+    spawned next launches it, and runs on the root's OS thread itself, in
+    the wait that names it."""
+    handle = root.spawn_task(body)
+    root.taskwait(root.spawn_task(lambda ctx: None))
+    return root.taskwait(handle)
+
+
 def test_finished_threads_are_not_retained(monkeypatch):
     pool = runtime._Workers()
     monkeypatch.setattr(runtime, "_WORKERS", pool)
     rt = Runtime()
     root = rt.root()
     for k in range(200):
-        handle = root.spawn_task(lambda ctx, k=k: k)
-        assert root.taskwait(handle) == k
+        assert _wait_on_a_worker(root, lambda ctx, k=k: k) == k
     rt.finish()
-    # One task runs at a time, so finished workers are handed the next.
+    # One task runs on a worker at a time, so finished workers are handed
+    # the next.
     assert _parked_workers(pool) <= 2
 
 
@@ -1339,8 +1357,8 @@ def test_parked_workers_do_not_keep_a_finished_runtime_alive(monkeypatch):
     pool = runtime._Workers()
     monkeypatch.setattr(runtime, "_WORKERS", pool)
     rt = Runtime({"x": 0})
-    rt.root().fork_join([lambda ctx: ctx.write("x", 1)])
-    rt.root().taskwait(rt.root().spawn_task(lambda ctx: ctx.read("x")))
+    rt.root().join(rt.root().fork([lambda ctx: ctx.write("x", 1)]))  # launched at fork
+    _wait_on_a_worker(rt.root(), lambda ctx: ctx.read("x"))
     rt.finish()
     _parked_workers(pool)
     ref = weakref.ref(rt)
@@ -1352,7 +1370,7 @@ def test_parked_workers_do_not_keep_a_finished_runtime_alive(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_workers():
     rt = Runtime()
-    rt.root().taskwait(rt.root().spawn_task(lambda ctx: 1))
+    _wait_on_a_worker(rt.root(), lambda ctx: 1)
     rt.finish()
     _parked_workers(runtime._WORKERS)
     pid = os.fork()
@@ -1360,7 +1378,7 @@ def test_a_forked_child_starts_its_own_workers():
         code = 1
         try:
             child = Runtime()
-            code = 0 if child.root().taskwait(child.root().spawn_task(lambda ctx: 7)) == 7 else 1
+            code = 0 if _wait_on_a_worker(child.root(), lambda ctx: 7) == 7 else 1
             child.finish()
         finally:
             os._exit(code)
@@ -1590,6 +1608,187 @@ def test_task_allocations_travel_with_the_result():
     extra_addr = rt.root().taskwait(handle)
     assert rt.root().ws.read(extra_addr) == "payload"
     rt.finish()
+
+
+# ----------------------------------------------------------------------
+# children on the waiter's OS thread
+# ----------------------------------------------------------------------
+
+
+def test_a_waited_task_and_the_last_member_of_fork_join_run_on_the_waiters_os_thread():
+    rt = Runtime({"x": 0})
+    root = rt.root()
+    ran_on = {}
+
+    def member(ctx):
+        ran_on[ctx.rank] = threading.get_ident()
+        ctx.barrier()
+
+    root.fork_join([member] * 3)
+    me = threading.get_ident()
+    assert ran_on[2] == me and me not in (ran_on[0], ran_on[1])
+    first = root.spawn_task(lambda ctx: threading.get_ident())
+    second = root.spawn_task(lambda ctx: threading.get_ident())
+    # The first went to a worker when the second was spawned.
+    assert root.taskwait(second) == me
+    assert root.taskwait(first) != me
+    rt.finish()
+
+
+def test_fork_then_join_launches_every_member_at_fork():
+    rt = Runtime()
+    arrived = []
+    met = threading.Event()
+
+    def member(ctx):
+        ctx.barrier()
+        arrived.append(ctx.rank)
+        if len(arrived) == 2:
+            met.set()
+
+    team = rt.root().fork([member] * 2)
+    # Both members meet at their barrier before the root does anything.
+    assert met.wait(10.0)
+    rt.root().join(team)
+    rt.finish()
+
+
+def test_an_inline_task_that_blocks_forever_is_doomed_at_once():
+    rt = Runtime()
+    root = rt.root()
+    ran_on = []
+
+    def stuck(ctx):
+        ran_on.append(threading.get_ident())
+        ctx.ep.acquire(ctx.ws, SyncLabel(0, 100))
+
+    handle = root.spawn_task(stuck)
+    start = time.monotonic()
+    with pytest.raises(DeadlockError) as info:
+        root.taskwait(handle)
+    assert time.monotonic() - start < 5.0  # nowhere near sync._WAIT_TIMEOUT
+    assert ran_on == [threading.get_ident()]
+    assert info.value.blocked == (0, 1)
+    assert str(info.value) == "deadlock among threads [0, 1]"
+    assert rt.errors[1].blocked == (0, 1)
+    rt.finish()
+
+
+def test_a_held_task_is_launched_when_its_spawner_blocks_at_a_barrier():
+    rt = Runtime()
+    started = threading.Event()
+
+    def member(ctx):
+        if ctx.rank == 0:
+            handle = ctx.spawn_task(lambda t: started.set())
+        else:
+            handle = ctx.spawn_task(lambda t: None)
+            # Rank 0's barrier launches its task before rank 0 blocks.
+            assert started.wait(10.0)
+        ctx.barrier()
+        ctx.taskwait(handle)
+
+    rt.root().fork_join([member] * 2)
+    rt.finish()
+
+
+def test_a_held_task_is_launched_when_its_spawner_ends_without_waiting():
+    rt = Runtime()
+    root = rt.root()
+    ran = []
+
+    def failing(ctx):
+        ctx.spawn_task(lambda t: ran.append(t.tid))
+        raise ValueError("member failed")
+
+    with pytest.raises(ConfigError, match="never waited"):
+        root.fork_join([lambda ctx: ctx.spawn_task(lambda t: ran.append(t.tid))])
+    with pytest.raises(ValueError, match="member failed"):
+        root.fork_join([failing])
+    root.spawn_task(lambda t: ran.append(t.tid))  # the root finishes without waiting
+    rt.finish()
+    tasks = [3, 2**32 + 1, 2 * 2**32 + 1]
+    assert sorted(ran) == tasks
+    # Nobody waited, so each task's terminal diff is left unclaimed.
+    assert {SyncLabel(t, 0) for t in tasks} <= rt.registry._floating.keys()
+
+
+def test_members_that_each_wait_their_own_task_are_never_doomed():
+    # A lender whose wait ends while its child still runs counts as
+    # running again in the step that marks the child done.
+    rt = Runtime({"total": 0}, seed=5, delay=0.0002)
+
+    def member(ctx):
+        for k in range(10):
+            assert ctx.taskwait(ctx.spawn_task(lambda t, k=k: k + t.read("total"))) == k
+        ctx.barrier()
+
+    for _ in range(10):
+        rt.root().fork_join([member] * 3)
+    rt.finish()
+    assert rt.errors == {} and rt.registry.doomed() == ()
+
+
+def test_a_task_chain_past_the_inline_depth_returns_the_sequential_result():
+    # Run inline all the way down, the chain would nest Python frames
+    # past the recursion limit, about 11 a level.
+    depth = sys.getrecursionlimit() // 10
+    rt = Runtime({"x": 1})
+    deepest = []
+
+    def chain(k):
+        def body(ctx):
+            deepest.append(ctx.ep._depth)
+            if k == 0:
+                return ctx.read("x")
+            return ctx.taskwait(ctx.spawn_task(chain(k - 1))) + 1
+
+        return body
+
+    assert rt.root().taskwait(rt.root().spawn_task(chain(depth))) == depth + 1
+    rt.finish()
+    assert max(deepest) == sync._INLINE_DEPTH
+    assert rt.errors == {}
+
+
+def test_a_held_task_is_launched_at_its_spawners_next_data_op():
+    rt = Runtime({"x": 0})
+    root = rt.root()
+    started = threading.Event()
+    handle = root.spawn_task(lambda ctx: started.set())
+    root.read("x")
+    # The task runs alongside whatever its spawner does next.
+    assert started.wait(10.0)
+    root.taskwait(handle)
+    rt.finish()
+
+
+def test_a_deep_caller_lends_its_os_thread_to_no_child():
+    # Past its share of the recursion limit, a waiter sends the last
+    # member and the task to a worker, where each body may recurse as
+    # deep as it ever could.
+    limit = sys.getrecursionlimit()
+    rt = Runtime()
+    root = rt.root()
+    ran_on = []
+
+    def recurse(n):
+        return 0 if n == 0 else recurse(n - 1) + 1
+
+    def body(ctx):
+        ran_on.append(threading.get_ident())
+        return recurse(limit - 40)
+
+    def deep(n):
+        if n:
+            return deep(n - 1)
+        root.fork_join([body] * 2)
+        return root.taskwait(root.spawn_task(body))
+
+    assert deep(limit // sync._LEND_STACK_SHARE) == limit - 40
+    rt.finish()
+    assert rt.errors == {}
+    assert len(ran_on) == 3 and threading.get_ident() not in ran_on
 
 
 # ----------------------------------------------------------------------

@@ -460,6 +460,49 @@ def test_wait_unwound_outlasts_doom():
         worker.join(10.0)
 
 
+def test_a_lender_woken_by_a_fault_does_not_hold_off_its_childs_doom():
+    # Thread 0 lends its OS thread to child 1. A release into 0's claim
+    # that the claim does not name faults 0 while 1 still runs; 1 then
+    # blocks for good and is doomed alone, and 0 raises its own fault.
+    reg = ChannelRegistry()
+    reg.register(0)
+    reg.register(1)
+    doomed = []
+
+    def run():
+        reg.deposit(lab(1, 1), [lab(0, 1)], empty_diff())
+        with pytest.raises(DeadlockError) as info:
+            reg.claim(lab(1, 2), [lab(2, 1)], tid=1)
+        doomed.append(info.value.blocked)
+        reg.mark_done(1)
+
+    with pytest.raises(PairingError) as info:
+        reg.claim(lab(0, 1), [lab(1, TERMINAL_SEQ)], tid=0, lend=(1, run))
+    assert str(info.value) == "acquire pairing violation at (0,1): (1,0), (1,1)"
+    assert doomed == [(1,)]
+
+
+def test_a_lender_runs_again_in_the_step_that_ends_its_child():
+    # Child 1, run on thread 0's OS thread, ends 0's wait with its
+    # terminal release and is then marked done. Thread 2 waits on what 0
+    # releases next, so it must not be doomed in between.
+    reg = ChannelRegistry()
+    for t in (0, 1, 2):
+        reg.register(t)
+    waiting = run_async(lambda: reg.claim(lab(2, 1), [lab(0, 2)], tid=2))
+    wait_blocked(reg)
+
+    def run():
+        reg.deposit_terminal(lab(1, TERMINAL_SEQ), empty_diff())
+        reg.mark_done(1)
+
+    reg.claim(lab(0, 1), [lab(1, TERMINAL_SEQ)], tid=0, lend=(1, run))
+    assert reg.doomed() == ()
+    reg.deposit(lab(0, 2), [lab(2, 1)], empty_diff())
+    waiting()
+    assert reg.doomed() == ()
+
+
 # ----------------------------------------------------------------------
 # endpoints
 # ----------------------------------------------------------------------
@@ -561,6 +604,44 @@ def test_terminal_release_supports_join_without_known_seq():
     ep[2].release(ws[2], lab(1, 7))  # unrelated mid-life event
     ep[2].release_terminal(ws[2])
     ep[1].acquire_set(ws[1], [lab(2, TERMINAL_SEQ)])
+    assert ws[1].read(table["x"]) == 13
+
+
+def test_an_endpoint_launches_its_held_child_before_its_next_sync_event():
+    reg, ws, ep, table = _linked_pair()
+    calls = []
+    ep[1].hold(Endpoint(reg, 5), lambda: calls.append("launch"), lambda: calls.append("run"))
+    ep[1].release(ws[1], lab(2, 1))
+    ep[1].release(ws[1], lab(2, 2))
+    assert calls == ["launch"]
+
+
+def test_an_acquire_naming_the_held_child_runs_it_on_the_same_os_thread():
+    reg, ws, ep, table = _linked_pair()
+    reg.register(5)
+    child_ws, child = Workspace(5, {"x": 0}), Endpoint(reg, 5)
+    ran_on = []
+
+    def run():
+        ran_on.append(threading.get_ident())
+        child_ws.write(table["x"], 8)
+        child.release_terminal(child_ws)
+        reg.mark_done(5)
+
+    ep[1].hold(child, lambda: pytest.fail("launched"), run)
+    ep[1].acquire(ws[1], lab(5, TERMINAL_SEQ))
+    assert ran_on == [threading.get_ident()]
+    assert ws[1].read(table["x"]) == 8
+
+
+def test_a_terminal_release_hands_over_its_cells():
+    reg, ws, ep, table = _linked_pair()
+    ws[2].write(table["x"], 13)
+    cells = ws[2].cells
+    ep[2].release_terminal(ws[2])
+    assert reg._floating[lab(2, TERMINAL_SEQ)].writes is cells
+    assert ws[2].cells == {} and ws[2].knowledge == {}
+    ep[1].acquire(ws[1], lab(2, TERMINAL_SEQ))
     assert ws[1].read(table["x"]) == 13
 
 
