@@ -106,13 +106,7 @@ perturbation, and :func:`check_program` cross-checks many such runs
 against the enumeration.
 
 Enumeration treats each scripted operation as atomic. That matches the
-runtime, whose registry updates happen under one lock, with one knowing
-exception: a release set that is simultaneously mis-paired with a blocked
-acquire and aimed at several channels can report its (identical-kind)
-violation with claimant lists of different widths depending on intra-event
-timing. Such programs are doubly broken; the checker still reports a
-pairing outcome for them but is only advertised as exact for programs
-whose violations are intra-event unambiguous.
+runtime, whose registry updates happen under one lock.
 """
 from __future__ import annotations
 
@@ -1014,20 +1008,11 @@ def run_on_runtime(
                 ctx.ep.acquire_set(ctx.ws, op.partners)
 
     root = rt.root()
-    peers: list[ThreadCtx] = []
-    started = 0
     try:
         for t in root._child_tids(program.nthreads - 1):
-            peers.append(ThreadCtx(rt, t, seeded=True))
-        for ctx in peers:
-            rt._launch(ctx, script_main)
-            started += 1
+            rt._launch(ThreadCtx(rt, t, seeded=True), script_main)
     except BaseException:
-        # Peers are live once built: end those never launched, and the
-        # root, so the launched ones settle.
-        for ctx in peers[started:]:
-            rt.registry.mark_done(ctx.tid)
-        rt.finish()
+        rt.finish()  # ends the root, so the launched peers settle
         raise
     rt._run(root, script_main)
     rt.finish()

@@ -43,20 +43,22 @@ task, that thread t starts gets ``t * 2**32 + k``, so the root's
 children are 1, 2, 3, ... whichever of two spawning members runs first.
 
 A logical thread's results do not depend on the OS thread that runs
-it. A member or task is live from its start, and is launched on a
-parked daemon OS thread, shared by every ``Runtime`` in the process: a
-launch hands it to an idle worker and starts a new one only when none
-is idle. Launches are lazy where a wait can take their place. A task
-is held unlaunched by its spawner, and ``fork_join`` holds its last
-member; a held child goes to a worker at its spawner's next operation,
-data op or sync event, or when the spawner's body ends or the root
-calls ``finish``, unless that operation is the wait that names it: then
-the waiter, which cannot go on before the child ends, posts its claim
-and runs the child on its own OS thread, if its stack is shallow (see
-``sync._LEND_STACK_SHARE``). So a task overlaps nothing its spawner
+it, and this module alone decides which one does; the registry only
+lends. A member or task is launched on a parked daemon OS thread,
+shared by every ``Runtime`` in the process: a launch hands it to an
+idle worker and starts a new one only when none is idle. Launches are
+lazy where a wait can take their place. A task is held unlaunched by
+its spawner, and ``fork_join`` holds its last member; a held child goes
+to a worker at its spawner's next operation, data op or sync event, or
+when the spawner's body ends or the root calls ``finish``, unless that
+operation is the ``_await`` that names it: then the waiter, which
+cannot go on before the child ends, posts its claim and runs the child
+on its own OS thread, if it is not itself run so and its stack is
+shallow (``_LEND_STACK_SHARE``). So a task overlaps nothing its spawner
 does outside determ between the spawn and its next operation. A
-``Runtime`` tracks logical threads only, through its registry:
-``finish`` returns once every thread started on it is done.
+``Runtime`` tracks logical threads only, through its registry: a thread
+is live from its launch or hold until it is done, and ``finish`` returns
+once every thread started on it is done.
 """
 from __future__ import annotations
 
@@ -64,6 +66,7 @@ import functools
 import math
 import os
 import random
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -78,6 +81,12 @@ _JOIN_TIMEOUT = 60.0
 
 # Ids per parent: the k-th child of thread t is t * _CHILDREN + k.
 _CHILDREN = 2**32
+
+# A thread lends its OS thread only while its stack holds at most this
+# share of the recursion limit (62 frames of the default 1000). A child
+# run inline starts on top of its lender's stack, so it has at most that
+# many frames fewer to recurse in than on a worker.
+_LEND_STACK_SHARE = 16
 
 # Error precedence when several threads of a team failed: report the most
 # specific cause, then the lowest rank. Deadlocks are usually collateral.
@@ -244,6 +253,16 @@ def perturb_hook(
     return hook
 
 
+def _shallow() -> bool:
+    """Whether the calling thread's stack is shallow enough to lend its
+    OS thread: at most 1/``_LEND_STACK_SHARE`` of the recursion limit."""
+    try:
+        sys._getframe(sys.getrecursionlimit() // _LEND_STACK_SHARE)
+    except ValueError:
+        return True
+    return False
+
+
 def tree_fold(values: Sequence[Any], combine: Callable[[Any, Any], Any]) -> Any:
     """Fold over the merge pairs of the combining tree, so the fold has
     the same shape as the tree barrier."""
@@ -386,6 +405,7 @@ class Runtime:
         # their team's join checks; a task's spawner is tid // _CHILDREN.
         self._unwaited: set[int] = set()
         self._root = ThreadCtx(self, 0, seeded=True)
+        self.registry.register(0)
         self._finished = False
 
     # -- plumbing ------------------------------------------------------
@@ -410,21 +430,21 @@ class Runtime:
             try:
                 main(ctx)
             finally:
-                ctx.ep.launch()
+                if ctx._held is not None:
+                    self._launch(*ctx._take_held())
         except BaseException as err:  # noqa: BLE001 - collected, not dropped
             self._record_error(ctx.tid, err)
         finally:
             self.registry.mark_done(ctx.tid)
 
     def _launch(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
-        """Run ``main(ctx)`` on a parked worker.
-
-        A thread is live from its spawn, when ``ThreadCtx.__init__``
-        registers it, until it is done, so a child held unlaunched counts
-        as running: its spawner launches it, or runs it, before the
-        spawner can block. A launch that fails marks the thread done, so
-        it holds off neither quiescence nor ``finish``.
+        """Register ``ctx``'s thread, then run ``main(ctx)`` on a parked
+        worker. Its starter counts as running meanwhile, so quiescence
+        cannot come before the thread is live. A launch that fails marks
+        the thread done, so it holds off neither quiescence nor
+        ``finish``.
         """
+        self.registry.register(ctx.tid)
         try:
             _WORKERS.run(functools.partial(self._run, ctx, main))
         except BaseException:
@@ -448,7 +468,8 @@ class Runtime:
         nobody else can run."""
         if self._finished:
             return
-        self._root.ep.launch()  # a task the root never waited for
+        if self._root._held is not None:  # a task the root never waited for
+            self._launch(*self._root._take_held())
         self._finished = True
         self.registry.mark_done(0)
         if not self.registry.wait_all_done(timeout=_JOIN_TIMEOUT):  # pragma: no cover
@@ -470,7 +491,8 @@ class ThreadCtx:
     ) -> None:
         """Build the whole thread: a workspace seeded with the globals,
         or empty until its birth acquire, and one perturbation stream,
-        which its endpoint shares. The thread is live from here on."""
+        which its endpoint shares. The thread is not live until it is
+        launched or held."""
         self.rt = rt
         self.tid = tid
         self.team = team
@@ -480,11 +502,16 @@ class ThreadCtx:
         else:
             self.ws = Workspace(tid, record=rt._record)
         self._perturb = perturb_hook(rt._seed, tid, rt._delay)
-        # Runs before each data op: the perturbation, or ``_launch_held``
-        # while this thread's endpoint may hold a child.
+        # Runs before each data op, as ``ep.hook`` before each sync event:
+        # the perturbation, or ``_launch_held`` while a child is held.
         self._hook = self._perturb
         recorder = rt._record_trace if rt._trace_lines is not None else None
         self.ep = Endpoint(rt.registry, tid, hook=self._perturb, recorder=recorder)
+        # The started child not launched yet, with its main, if any.
+        self._held: tuple[ThreadCtx, Callable[[ThreadCtx], Any]] | None = None
+        # Whether this thread runs on the OS thread of its waiter, which
+        # it then lends to no child of its own.
+        self._inline = False
         # Reduction variables of the teams this thread runs in, by
         # address: a member's parent's plus its own team's; a task's
         # spawner's. Only folds write them, bypassing ``write``. Never
@@ -494,7 +521,6 @@ class ThreadCtx:
         self._counters = [1] * team.size if team else []
         self._children = 0
         self._names = rt.names
-        rt.registry.register(tid)
 
     # -- data operations -------------------------------------------------
 
@@ -543,13 +569,32 @@ class ThreadCtx:
             self._hook()
         return self.ws.alloc(value)
 
+    # -- held children -------------------------------------------------
+
+    def _hold(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
+        """Hold started child ``ctx`` unlaunched, live, until this
+        thread's next operation of any kind, which launches it."""
+        self.rt.registry.register(ctx.tid)
+        self._held = (ctx, main)
+        self._hook = self.ep.hook = self._launch_held
+
+    def _take_held(self) -> tuple["ThreadCtx", Callable[["ThreadCtx"], Any]]:
+        held, self._held = self._held, None
+        self._hook = self.ep.hook = self._perturb
+        return held  # type: ignore[return-value]
+
     def _launch_held(self) -> None:
-        """Before the first data op after a spawn: launch the child the
-        endpoint still holds, if any, then perturb."""
-        self._hook = self._perturb
-        self.ep.launch()
+        """The hook of every operation while a child is held: launch the
+        child on a worker, then perturb."""
+        self.rt._launch(*self._take_held())
         if self._perturb is not None:
             self._perturb()
+
+    def _run_held(self) -> None:
+        """Run the held child to its end on this OS thread."""
+        ctx, main = self._take_held()
+        ctx._inline = True
+        self.rt._run(ctx, main)
 
     # -- child threads -----------------------------------------------------
 
@@ -570,33 +615,20 @@ class ThreadCtx:
     ) -> None:
         """Release to the birth labels of ``tids`` in one event, then launch
         each on its body: as the ranks of ``team``, or as tasks if None.
-        With ``hold``, the last is held on this thread's endpoint instead,
-        until this thread's next operation of any kind. Children that a
-        failure leaves unlaunched are marked done."""
+        With ``hold``, the last is held instead (``_hold``)."""
         read_only = self._read_only
         if team is not None and team.reductions:
             read_only = {**read_only, **{self.addr(s.var): s.var for s in team.reductions}}
         rt = self.rt
-        children: list[ThreadCtx] = []
-        started = 0
-        try:
-            for rank, tid in enumerate(tids):
-                children.append(ThreadCtx(rt, tid, team, rank if team else -1, read_only))
-            # Deposit birth diffs before the children start looking for them.
-            birth = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
-            for ctx, body in zip(children, bodies):
-                main = functools.partial(ThreadCtx._child_main, body=body, birth=birth)
-                if hold and ctx is children[-1]:
-                    run = functools.partial(rt._run, ctx, main)
-                    self.ep.hold(ctx.ep, functools.partial(rt._launch, ctx, main), run)
-                    self._hook = self._launch_held
-                else:
-                    rt._launch(ctx, main)
-                started += 1
-        except BaseException:
-            for ctx in children[started:]:
-                rt.registry.mark_done(ctx.tid)
-            raise
+        # Deposit birth diffs before the children start looking for them.
+        birth = self.ep.release_set(self.ws, [SyncLabel(t, 1) for t in tids])
+        for rank, (tid, body) in enumerate(zip(tids, bodies)):
+            ctx = ThreadCtx(rt, tid, team, rank if team else -1, read_only)
+            main = functools.partial(ThreadCtx._child_main, body=body, birth=birth)
+            if hold and tid == tids[-1]:
+                self._hold(ctx, main)
+            else:
+                rt._launch(ctx, main)
 
     def _child_main(self, body: Callable[["ThreadCtx"], Any], birth: SyncLabel) -> None:
         """Acquire the birth release, run ``body`` and die with a terminal
@@ -614,10 +646,15 @@ class ThreadCtx:
         self.ep.release_terminal(self.ws)
 
     def _await(self, tids: Sequence[int]) -> None:
-        """Claim the terminal releases of ``tids`` in one acquire set; a
+        """Claim the terminal releases of ``tids`` in one acquire set,
+        lending this OS thread to the held child if it is among them; a
         doomed wait raises by the waiter's rule in the module docstring."""
+        lend = None
+        held = self._held
+        if held is not None and held[0].tid in tids and not self._inline and _shallow():
+            lend = (held[0].tid, self._run_held)
         try:
-            self.ep.acquire_set(self.ws, [SyncLabel(t, TERMINAL_SEQ) for t in tids])
+            self.ep.acquire_set(self.ws, [SyncLabel(t, TERMINAL_SEQ) for t in tids], lend)
         except DeadlockError:
             if not self.rt.registry.wait_unwound(tids, timeout=_JOIN_TIMEOUT, waiter=self.tid):
                 raise RuntimeError("threads failed to settle") from None  # runtime bug guard

@@ -38,11 +38,11 @@ child its own OS thread: the child runs inside the claim, with the lock
 released, while the waiter counts as blocked, and as not running until
 the child is done even if its wait ends first. The waiter cannot go on
 before the child ends anyway, so this changes which OS thread runs the
-child and nothing else.
+child and nothing else. The registry lends; the runtime decides which
+child, if any, a claim is lent to.
 """
 from __future__ import annotations
 
-import sys
 import threading
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -54,17 +54,6 @@ TERMINAL_SEQ = 0
 
 # Defensive bound so a runtime bug cannot hang the test suite forever.
 _WAIT_TIMEOUT = 120.0
-
-# How many children may run nested on one OS thread, each lent it by the
-# thread it runs beneath; a child past this depth goes to another OS
-# thread. One covers a waited task and the last member of a fork_join.
-_INLINE_DEPTH = 1
-
-# A thread lends its OS thread only while its stack holds at most this
-# share of the recursion limit (62 frames of the default 1000). A child
-# run inline starts on top of its lender's stack, so it has at most that
-# many frames fewer to recurse in than on a worker.
-_LEND_STACK_SHARE = 16
 
 
 class SyncLabel(NamedTuple):
@@ -449,31 +438,15 @@ def _validate_partners(
     return out
 
 
-def _shallow() -> bool:
-    """Whether the calling thread's stack is shallow enough to lend its
-    OS thread: at most 1/``_LEND_STACK_SHARE`` of the recursion limit."""
-    try:
-        sys._getframe(sys.getrecursionlimit() // _LEND_STACK_SHARE)
-    except ValueError:
-        return True
-    return False
-
-
 class Endpoint:
     """Per-thread face of the registry: owns the label counter.
 
     ``hook`` runs before every sync operation (schedule perturbation for
-    determinism trials); ``recorder`` receives one trace line per
-    (event, partner) pair in the format
+    determinism trials); its owner may swap it, as a ``ThreadCtx`` does
+    while it holds a child, and an acquire that lends its OS thread runs
+    the hook it was built with instead. ``recorder`` receives one trace
+    line per (event, partner) pair in the format
     ``EVT <thread> <seq> REL|ACQ <partner-thread> <partner-seq>``.
-
-    An endpoint may hold one child thread that was started but not yet
-    launched (see ``hold``). It goes to another OS thread before this
-    thread's next sync event (``ThreadCtx`` also launches it before a
-    data op), unless that event is an acquire naming the
-    child's terminal release: then the acquire posts its claim and runs
-    the child on this OS thread, within ``_INLINE_DEPTH`` and while this
-    thread's stack is shallow (``_LEND_STACK_SHARE``).
     """
 
     def __init__(
@@ -486,13 +459,8 @@ class Endpoint:
         self.registry = registry
         self.thread = thread
         self.seq = 0
-        self._hook = hook
+        self.hook = self._perturb = hook
         self._recorder = recorder
-        # The held child: its endpoint, how to launch it on another OS
-        # thread and how to run it on this one.
-        self._held: tuple[Endpoint, Callable[[], None], Callable[[], None]] | None = None
-        # How many threads lend this thread's OS thread beneath it.
-        self._depth = 0
 
     def next_seq(self) -> int:
         """Seq the next sync event will carry; planned steps are checked against it."""
@@ -509,30 +477,6 @@ class Endpoint:
 
     # ------------------------------------------------------------------
 
-    def hold(
-        self, child: "Endpoint", launch: Callable[[], None], run: Callable[[], None]
-    ) -> None:
-        """Hold a started child, whose endpoint is ``child``, unlaunched:
-        ``launch`` hands it to another OS thread, ``run`` runs it to its
-        end on the calling one. Nothing is held already: a child is
-        started by a release, which launches the one held before."""
-        assert self._held is None
-        self._held = (child, launch, run)
-
-    def launch(self) -> None:
-        """Hand the held child, if any, to another OS thread."""
-        if self._held is not None:
-            launch = self._held[1]
-            self._held = None
-            launch()
-
-    def _run_held(self) -> None:
-        """Run the held child on this OS thread, one level deeper."""
-        child, _, run = self._held  # type: ignore[misc]
-        self._held = None
-        child._depth = self._depth + 1
-        run()
-
     def release(self, ws: Workspace, partner: SyncLabel) -> SyncLabel:
         """Send everything known so far toward one acquire event."""
         return self.release_set(ws, (partner,))
@@ -540,9 +484,8 @@ class Endpoint:
     def release_set(self, ws: Workspace, partners: Sequence[SyncLabel]) -> SyncLabel:
         """One event, one diff, deposited on a channel per partner."""
         targets = _validate_partners(partners, min_seq=1)
-        self.launch()
-        if self._hook is not None:
-            self._hook()
+        if self.hook is not None:
+            self.hook()
         label = self._advance()
         diff = ws.extract_diff()
         for target in targets:
@@ -554,24 +497,19 @@ class Endpoint:
         """Block for one release and merge its diff."""
         return self.acquire_set(ws, (partner,))
 
-    def acquire_set(self, ws: Workspace, partners: Sequence[SyncLabel]) -> SyncLabel:
+    def acquire_set(
+        self,
+        ws: Workspace,
+        partners: Sequence[SyncLabel],
+        lend: tuple[int, Callable[[], None]] | None = None,
+    ) -> SyncLabel:
         """Block for all named releases; apply their diffs in canonical
         ascending label order (order is part of the semantics: it fixes
-        conflict attribution)."""
+        conflict attribution). ``lend`` goes to ``ChannelRegistry.claim``."""
         named = _validate_partners(partners, min_seq=TERMINAL_SEQ)
-        held = self._held
-        lend = None
-        if (
-            held is not None
-            and SyncLabel(held[0].thread, TERMINAL_SEQ) in named
-            and self._depth < _INLINE_DEPTH
-            and _shallow()
-        ):
-            lend = (held[0].thread, self._run_held)
-        else:
-            self.launch()
-        if self._hook is not None:
-            self._hook()
+        hook = self.hook if lend is None else self._perturb
+        if hook is not None:
+            hook()
         label = self._advance()
         diffs = self.registry.claim(label, named, self.thread, lend)
         for rel in sorted(named):
@@ -584,9 +522,8 @@ class Endpoint:
         over the workspace's cells, which the thread no longer needs, in
         a terminal diff: the one acquire that claims it absorbs the
         thread, its writes known to their end."""
-        self.launch()
-        if self._hook is not None:
-            self._hook()
+        if self.hook is not None:
+            self.hook()
         label = SyncLabel(self.thread, TERMINAL_SEQ)
         self._trace(label, "REL", None)
         self.registry.deposit_terminal(label, ws.extract_terminal())

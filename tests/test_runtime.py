@@ -504,17 +504,17 @@ def test_each_thread_draws_one_perturbation_stream(monkeypatch):
     shared = []
 
     def task(ctx):
-        shared.append(ctx._hook is ctx.ep._hook)
+        shared.append(ctx._hook is ctx.ep.hook)
         return ctx.read("x")
 
     def member(ctx):
-        shared.append(ctx._hook is ctx.ep._hook)
+        shared.append(ctx._hook is ctx.ep.hook)
         ctx.write(ctx.alloc(None), ctx.read("x") + ctx.rank)
         ctx.barrier()
         assert ctx.taskwait(ctx.spawn_task(task)) == 0
 
     rt = Runtime({"x": 0})
-    shared.append(rt.root()._hook is rt.root().ep._hook)
+    shared.append(rt.root()._hook is rt.root().ep.hook)
     rt.root().fork_join([member] * 2)
     rt.finish()
     threads = [0, 1, 2, 2**32 + 1, 2 * 2**32 + 1]
@@ -527,7 +527,7 @@ def test_each_thread_draws_one_perturbation_stream(monkeypatch):
     run = Runtime._run
 
     def checked_run(rt, ctx, main):
-        shared.append(ctx._hook is ctx.ep._hook)
+        shared.append(ctx._hook is ctx.ep.hook)
         run(rt, ctx, main)
 
     monkeypatch.setattr(Runtime, "_run", checked_run)
@@ -1402,10 +1402,10 @@ def test_members_of_a_fork_that_failed_before_launch_hold_nobody_up():
     def refuse():
         raise RuntimeError("refused")
 
-    root.ep._hook = refuse  # fails the fork's birth release
+    root.ep.hook = refuse  # fails the fork's birth release
     with pytest.raises(RuntimeError):
         root.fork([lambda ctx: None] * 2)
-    root.ep._hook = None
+    root.ep.hook = None
     # Members 1 and 2 exist but never run: a task waiting on one of them
     # is doomed along with its waiter, and finish waits for neither.
     handle = root.spawn_task(lambda ctx: ctx.ep.acquire(ctx.ws, SyncLabel(1, 2)))
@@ -1425,17 +1425,17 @@ def test_a_failed_spawn_leaves_no_bookkeeping():
         raise RuntimeError("refused")
 
     def body(ctx):
-        ctx.ep._hook = refuse
+        ctx.ep.hook = refuse
         with pytest.raises(RuntimeError):
             ctx.spawn_task(lambda t: 1)
-        ctx.ep._hook = None
+        ctx.ep.hook = None
 
     root.fork_join([body])
     assert rt._unwaited == set()
-    root.ep._hook = refuse
+    root.ep.hook = refuse
     with pytest.raises(RuntimeError):
         root.spawn_task(lambda t: 1)
-    root.ep._hook = None
+    root.ep.hook = None
     assert rt._unwaited == set()
     rt.finish()
 
@@ -1738,7 +1738,7 @@ def test_a_task_chain_past_the_inline_depth_returns_the_sequential_result():
 
     def chain(k):
         def body(ctx):
-            deepest.append(ctx.ep._depth)
+            deepest.append(ctx._inline)
             if k == 0:
                 return ctx.read("x")
             return ctx.taskwait(ctx.spawn_task(chain(k - 1))) + 1
@@ -1747,7 +1747,7 @@ def test_a_task_chain_past_the_inline_depth_returns_the_sequential_result():
 
     assert rt.root().taskwait(rt.root().spawn_task(chain(depth))) == depth + 1
     rt.finish()
-    assert max(deepest) == sync._INLINE_DEPTH
+    assert max(deepest) == 1
     assert rt.errors == {}
 
 
@@ -1761,6 +1761,74 @@ def test_a_held_task_is_launched_at_its_spawners_next_data_op():
     assert started.wait(10.0)
     root.taskwait(handle)
     rt.finish()
+
+
+def test_a_held_task_is_launched_before_its_spawners_next_sync_event():
+    rt = Runtime({"x": 0})
+    root = rt.root()
+    launched = []
+    launch = rt._launch
+
+    def counted(ctx, main):
+        launched.append(ctx.tid)
+        launch(ctx, main)
+
+    rt._launch = counted
+    handle = root.spawn_task(lambda ctx: threading.get_ident())
+    assert launched == []
+    root.ep.release(root.ws, SyncLabel(9, 1))
+    root.ep.release(root.ws, SyncLabel(9, 2))
+    assert launched == [1]
+    assert root.taskwait(handle) != threading.get_ident()
+    rt.finish()
+
+
+def test_an_acquire_naming_the_held_child_runs_it_on_the_same_os_thread():
+    # taskwait lends the waiter's OS thread; a direct acquire of the
+    # task's terminal release launches the task on a worker instead,
+    # and still returns its writes.
+    rt = Runtime({"x": 0})
+    root = rt.root()
+
+    def body(value):
+        def run(ctx):
+            ctx.write("x", value)
+            return threading.get_ident()
+
+        return run
+
+    me = threading.get_ident()
+    assert root.taskwait(root.spawn_task(body(8))) == me
+    assert root.read("x") == 8
+    handle = root.spawn_task(body(9))
+    root.ep.acquire(root.ws, handle.completion)
+    assert root.ws.read(handle.result) != me
+    assert root.read("x") == 9
+    rt.finish()
+    assert rt.errors == {}
+
+
+def test_a_held_child_adds_no_perturbation_draw(monkeypatch):
+    # The hook that launches a held child draws once per operation,
+    # whether a data op, a sync event or a lending wait ends the hold.
+    drawn = collections.Counter()
+    monkeypatch.setattr(
+        runtime, "perturb_hook", lambda seed, tid, delay: lambda: drawn.update((tid,))
+    )
+    rt = Runtime({"x": 0})
+    root = rt.root()
+
+    def reader(ctx):
+        return ctx.read("x")
+
+    a = root.spawn_task(reader)
+    root.read("x")
+    b = root.spawn_task(reader)
+    root.taskwait(b)
+    root.taskwait(a)
+    root.fork_join([reader] * 2)
+    rt.finish()
+    assert drawn == {0: 7, 1: 3, 2: 3, 3: 3, 4: 3}
 
 
 def test_a_deep_caller_lends_its_os_thread_to_no_child():
@@ -1785,7 +1853,7 @@ def test_a_deep_caller_lends_its_os_thread_to_no_child():
         root.fork_join([body] * 2)
         return root.taskwait(root.spawn_task(body))
 
-    assert deep(limit // sync._LEND_STACK_SHARE) == limit - 40
+    assert deep(limit // runtime._LEND_STACK_SHARE) == limit - 40
     rt.finish()
     assert rt.errors == {}
     assert len(ran_on) == 3 and threading.get_ident() not in ran_on

@@ -607,33 +607,6 @@ def test_terminal_release_supports_join_without_known_seq():
     assert ws[1].read(table["x"]) == 13
 
 
-def test_an_endpoint_launches_its_held_child_before_its_next_sync_event():
-    reg, ws, ep, table = _linked_pair()
-    calls = []
-    ep[1].hold(Endpoint(reg, 5), lambda: calls.append("launch"), lambda: calls.append("run"))
-    ep[1].release(ws[1], lab(2, 1))
-    ep[1].release(ws[1], lab(2, 2))
-    assert calls == ["launch"]
-
-
-def test_an_acquire_naming_the_held_child_runs_it_on_the_same_os_thread():
-    reg, ws, ep, table = _linked_pair()
-    reg.register(5)
-    child_ws, child = Workspace(5, {"x": 0}), Endpoint(reg, 5)
-    ran_on = []
-
-    def run():
-        ran_on.append(threading.get_ident())
-        child_ws.write(table["x"], 8)
-        child.release_terminal(child_ws)
-        reg.mark_done(5)
-
-    ep[1].hold(child, lambda: pytest.fail("launched"), run)
-    ep[1].acquire(ws[1], lab(5, TERMINAL_SEQ))
-    assert ran_on == [threading.get_ident()]
-    assert ws[1].read(table["x"]) == 8
-
-
 def test_a_terminal_release_hands_over_its_cells():
     reg, ws, ep, table = _linked_pair()
     ws[2].write(table["x"], 13)
