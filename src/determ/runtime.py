@@ -45,8 +45,8 @@ children are 1, 2, 3, ... whichever of two spawning members runs first.
 A logical thread's results do not depend on the OS thread that runs
 it, and this module alone decides which one does; the registry only
 lends. A member or task is launched on a parked daemon OS thread,
-shared by every ``Runtime`` in the process: a launch hands it to an
-idle worker and starts a new one only when none is idle. Launches are
+shared by every ``Runtime`` in the process: a launch queues it for the
+idle workers and starts a new one only when none is idle. Launches are
 lazy where a wait can take their place. A task is held unlaunched by
 its spawner, and ``fork_join`` holds its last member; a held child goes
 to a worker at its spawner's next operation, data op or sync event, or
@@ -65,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import queue
 import random
 import sys
 import threading
@@ -331,54 +332,43 @@ class OrderedRegion:
 # ----------------------------------------------------------------------
 
 
-class _Worker:
-    __slots__ = ("job", "wake")
-
-    def __init__(self, job: Callable[[], None]) -> None:
-        self.job: Callable[[], None] | None = job
-        self.wake = threading.Lock()
-        self.wake.acquire()  # held while parked; released to hand a job over
-
-
 class _Workers:
-    """Parked daemon OS threads that run logical threads' jobs.
+    """Parked daemon OS threads that take logical threads' jobs from one queue.
 
-    A job goes to an idle worker if there is one, else to a new one, so
-    the pool never holds more workers than the most jobs ever in flight
-    at once. A worker drops its job before it parks: a parked worker
-    keeps nothing of a finished ``Runtime`` alive.
+    ``_idle`` counts the workers parked, or about to park, on the queue,
+    less the jobs waiting in it. A job is queued for an idle worker if
+    there is one, else for a new one, so the pool never holds more
+    workers than the most jobs ever in flight at once. A worker drops its
+    job before it parks: a parked worker keeps nothing of a finished
+    ``Runtime`` alive.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._idle: list[_Worker] = []
+        self._jobs: queue.SimpleQueue[Callable[[], None]] = queue.SimpleQueue()
+        self._idle = 0
 
     def run(self, job: Callable[[], None]) -> None:
         with self._lock:
-            worker = self._idle.pop() if self._idle else None
-        if worker is None:
-            # The job travels on the worker, not in the Thread's args,
-            # which the Thread would hold until the worker exits.
-            threading.Thread(
-                target=self._serve, args=(_Worker(job),), name="determ-worker", daemon=True
-            ).start()
-        else:
-            worker.job = job
-            worker.wake.release()
+            start = not self._idle
+            if self._idle:
+                self._idle -= 1
+        if start:  # started before the job is queued, so a failed start queues none
+            threading.Thread(target=self._serve, name="determ-worker", daemon=True).start()
+        self._jobs.put(job)
 
-    def _serve(self, worker: _Worker) -> None:
+    def _serve(self) -> None:
         while True:
-            job, worker.job = worker.job, None
+            job = self._jobs.get()
             job()
             job = None
             with self._lock:
-                self._idle.append(worker)
-            worker.wake.acquire()
+                self._idle += 1
 
 
 _WORKERS = _Workers()
-# A forked child inherits the idle list, and maybe a held lock, but none
-# of the threads: it starts over with an empty pool.
+# A forked child inherits the queue, the idle count and maybe a held
+# lock, but none of the threads: it starts over with an empty pool.
 os.register_at_fork(after_in_child=_WORKERS.__init__)
 
 
@@ -590,9 +580,8 @@ class ThreadCtx:
         if self._perturb is not None:
             self._perturb()
 
-    def _run_held(self) -> None:
-        """Run the held child to its end on this OS thread."""
-        ctx, main = self._take_held()
+    def _run_inline(self, ctx: "ThreadCtx", main: Callable[["ThreadCtx"], Any]) -> None:
+        """Run child ``ctx`` to its end on this OS thread."""
         ctx._inline = True
         self.rt._run(ctx, main)
 
@@ -646,13 +635,15 @@ class ThreadCtx:
         self.ep.release_terminal(self.ws)
 
     def _await(self, tids: Sequence[int]) -> None:
-        """Claim the terminal releases of ``tids`` in one acquire set,
-        lending this OS thread to the held child if it is among them; a
-        doomed wait raises by the waiter's rule in the module docstring."""
+        """Claim the terminal releases of ``tids`` in one acquire set. If
+        the held child is among them, take it first and lend it this OS
+        thread; a claim that faults before the child runs holds it again.
+        A doomed wait raises by the waiter's rule in the module docstring."""
         lend = None
         held = self._held
         if held is not None and held[0].tid in tids and not self._inline and _shallow():
-            lend = (held[0].tid, self._run_held)
+            self._take_held()
+            lend = (held[0].tid, functools.partial(self._run_inline, *held))
         try:
             self.ep.acquire_set(self.ws, [SyncLabel(t, TERMINAL_SEQ) for t in tids], lend)
         except DeadlockError:
@@ -666,6 +657,9 @@ class ThreadCtx:
             if failed:
                 raise min(failed, key=lambda f: f[:2])[2] from None
             raise
+        finally:
+            if lend is not None and not held[0]._inline:
+                self._hold(*held)
 
     def fork(
         self,

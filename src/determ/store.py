@@ -67,10 +67,11 @@ its workspace takes no further op, so it hands its own maps over.
 
 The index changes only when a cell changes writer, so a thread
 overwriting its own cells, or adopting a newer write by a cell's last
-writer, does no index work. A diff shares the index copy-on-write:
-``extract_diff`` hands over the workspace's writer -> bucket map as it
-is, and the workspace copies that map, and then each bucket, the first
-time it changes them after a release.
+writer, does no index work. A diff shares the index's buckets
+copy-on-write: ``extract_diff`` hands the diff the workspace's writer ->
+bucket map and keeps a copy of it, one entry per live writer, and the
+workspace copies each bucket the first time it changes it after a
+release.
 
 Values are treated as opaque immutable data; equality of final states is
 structural equality of (stamp, value) maps.
@@ -219,12 +220,12 @@ class Diff(NamedTuple):
     and ``summary`` the sender's summary of those it has.
 
     ``index`` groups the addresses of the cells of ``writes`` written by
-    live writers, by writer; it is shared with the sender, which copies
-    it before it next changes it. ``terminal`` is the sender's tid on the
-    diff of its terminal release, whose receiver absorbs it; that diff
-    holds the sender's own maps, which the sender handed over. No diff is ever
-    changed, so the shared empty defaults are safe. A named tuple,
-    because one is built on every release.
+    live writers, by writer; its buckets are shared with the sender,
+    which copies each before it next changes it. ``terminal`` is the
+    sender's tid on the diff of its terminal release, whose receiver
+    absorbs it; that diff holds the sender's own maps, which the sender
+    handed over. No diff is ever changed, so the shared empty defaults
+    are safe. A named tuple, because one is built on every release.
     """
 
     sender_knowledge: dict[int, int]
@@ -284,8 +285,8 @@ class Workspace:
         # docstring.
         self._index: CellIndex = {}
         # The buckets of _index copied since the last release: only these
-        # may change in place. None: a diff shares _index itself as well.
-        self._private: CellIndex | None = {}
+        # may change in place.
+        self._private: CellIndex = {}
 
     @property
     def knowledge(self) -> dict[int, int]:
@@ -353,21 +354,13 @@ class Workspace:
     # per-writer index
     # ------------------------------------------------------------------
 
-    def _outer(self) -> CellIndex:
-        """The writer -> bucket map, copied first if a diff shares it."""
-        if self._private is None:
-            self._index = dict(self._index)
-            self._private = {}
-        return self._index
-
     def _bucket(self, writer: int) -> set[Address]:
         """``writer``'s bucket, copied first if a diff may share it."""
-        index = self._outer()
         bucket = self._private.get(writer)
         if bucket is None:
-            shared = index.get(writer)
+            shared = self._index.get(writer)
             bucket = set() if shared is None else shared.copy()
-            index[writer] = self._private[writer] = bucket
+            self._index[writer] = self._private[writer] = bucket
         return bucket
 
     def _unindex(self, writer: int, addrs: Sequence[Address]) -> None:
@@ -378,7 +371,7 @@ class Workspace:
         if bucket is None:
             return
         if len(addrs) == len(bucket):  # all of it: drop, never copy
-            del self._outer()[writer]
+            del self._index[writer]
             self._private.pop(writer, None)
         else:
             self._bucket(writer).difference_update(addrs)
@@ -389,7 +382,7 @@ class Workspace:
         for writer in writers:
             live.pop(writer, None)
             if writer in self._index:
-                del self._outer()[writer]
+                del self._index[writer]
                 self._private.pop(writer, None)
 
     # ------------------------------------------------------------------
@@ -398,8 +391,8 @@ class Workspace:
 
     def extract_diff(self) -> Diff:
         """Snapshot everything this workspace knows, for a release."""
-        self._private = None  # the diff shares the whole index from now on
-        return Diff(dict(self._live), dict(self.cells), self._index, self._summary)
+        index, self._index, self._private = self._index, dict(self._index), {}
+        return Diff(dict(self._live), dict(self.cells), index, self._summary)
 
     def extract_terminal(self) -> Diff:
         """The diff of the owner's terminal release: everything this
@@ -426,8 +419,8 @@ class Workspace:
             self._merge(diff)
         else:  # fresh: share all it can
             self.cells = dict(diff.writes)
-            self._index = diff.index
-            self._private = None
+            self._index = dict(diff.index)
+            self._private = {}
             self._live = dict(diff.sender_knowledge)
             self._summary = diff.summary
         if diff.terminal is not None:
@@ -506,7 +499,7 @@ class Workspace:
             if bucket is None:
                 pass  # the writer retires here, so its cells go unindexed
             elif len(moved) == len(bucket) and writer not in self._index:
-                self._outer()[writer] = bucket  # all new here: share it
+                self._index[writer] = bucket  # all new here: share it
             else:
                 self._bucket(writer).update([addr for addr, _ in moved])
             leaving: dict[int, list[Address]] = {}
@@ -581,7 +574,7 @@ class Workspace:
                     f"stale index entry {addr} under writer {writer}"
                 )
             indexed += len(bucket)
-        for writer, bucket in (self._private or {}).items():
+        for writer, bucket in self._private.items():
             assert self._index.get(writer) is bucket
         written = 0
         for addr, cell in self.cells.items():

@@ -26,11 +26,12 @@ registry lock. A deposit wakes only the acquires it fills, a fault only
 its acquire, a verdict only the doomed, so a satisfied acquire is woken
 once and nobody else is woken for it.
 
-A thread's death diff is released under the reserved seq 0 with no
-target: whichever acquire names that label claims it, so a parent joins
-on a child without knowing how many sync events the child performed.
-The claim fixes the terminal's aim, as a deposit fixes an ordinary
-release's, so every other claim naming it faults the same way.
+A thread's death diff is deposited like any release, under the
+reserved seq 0 and with no target: it floats until whichever acquire
+names that label claims it, so a parent joins on a child without knowing
+how many sync events the child performed. The claim fixes the terminal's
+aim, as a deposit fixes an ordinary release's, so every other claim
+naming it faults the same way.
 
 A claim is posted before it is waited for. A waiter whose claim names
 the terminal release of a child not launched yet can then lend that
@@ -187,6 +188,8 @@ class ChannelRegistry:
         The complete target list lands atomically, because the pairing
         checks depend on the event's whole aim: a blocked acquire naming
         this release is fine as long as its label is among the targets.
+        A terminal release (seq ``TERMINAL_SEQ``) has no targets: it
+        floats, claimable by its label alone, until a claim aims it.
 
         A release that disagrees with a *blocked* acquire still deposits;
         the acquire faults when it wakes, just as it would had it arrived
@@ -194,12 +197,19 @@ class ChannelRegistry:
         the releaser.
         """
         targets = tuple(targets)
+        terminal = rel.seq == TERMINAL_SEQ
+        assert not (terminal and targets), "a terminal release has no targets"
         with self._cond._lock:  # type: ignore[attr-defined]
             if rel in self._rel_targets or rel in self._floating:
                 # Label reuse; cannot happen via endpoints.
-                prior = self._rel_targets.get(rel, ())
-                raise self._record("release", rel, prior + targets)
-            self._aim(rel, targets)
+                claimants = (rel, rel) if terminal else self._rel_targets[rel] + targets
+                raise self._record("release", rel, claimants)
+            if terminal:
+                self._floating[rel] = diff
+                for tid in self._naming.get(rel, ()):
+                    self._fill(tid, self._waiting[tid], rel)
+            else:
+                self._aim(rel, targets)
             for target in targets:
                 waiter = self._waiting.get(target.thread)
                 # A waiter holding a fault or its doom has run its acquire,
@@ -216,33 +226,23 @@ class ChannelRegistry:
                 if waiter is not None and rel in waiter.missing:
                     self._fill(target.thread, waiter, rel)
 
-    def deposit_terminal(self, rel: SyncLabel, diff: Diff) -> None:
-        """Stash a terminal release, claimable by its label alone."""
-        with self._cond._lock:  # type: ignore[attr-defined]
-            if rel in self._floating or rel in self._rel_targets:
-                raise self._record("release", rel, (rel, rel))
-            self._floating[rel] = diff
-            for tid in self._naming.get(rel, ()):
-                self._fill(tid, self._waiting[tid], rel)
-
     def claim(
         self,
         acq: SyncLabel,
         rels: Sequence[SyncLabel],
-        tid: int,
         lend: tuple[int, Callable[[], None]] | None = None,
     ) -> dict[SyncLabel, Diff]:
         """Drain all named channels for one acquire event; blocks until
-        every one is filled. Returns {release label: diff}. ``tid`` is
-        ``acq.thread``, the thread that blocks.
+        every one is filled. Returns {release label: diff}. The thread
+        that blocks is ``acq.thread``.
 
         The claim is posted first: recorded, checked against the aims of
         the releases it names and, if one is missing, entered in the wait
         loop. Then, if a release is missing and ``lend`` is (child, run),
         ``run`` runs live thread ``child`` to its end on the calling OS
-        thread, with the lock released; ``tid`` does not count as running
-        until ``child`` is done, even once its wait has ended. Then the
-        claim waits as usual."""
+        thread, with the lock released; ``acq.thread`` does not count as
+        running until ``child`` is done, even once its wait has ended.
+        Then the claim waits as usual."""
         named = frozenset(rels)
         with self._cond._lock:  # type: ignore[attr-defined]
             assert acq not in self._claims, "acquire labels never repeat"
@@ -259,7 +259,7 @@ class ChannelRegistry:
                 if rel not in pending and rel not in self._floating:
                     missing.add(rel)
             if missing:
-                self._wait(tid, _Waiter(acq, named, missing, self._slot()), lend)
+                self._wait(_Waiter(acq, named, missing, self._slot()), lend)
             out: dict[SyncLabel, Diff] = {}
             pending = self._targeted.get(acq, {})
             for rel in named:
@@ -310,12 +310,11 @@ class ChannelRegistry:
         cond = self._cond
         return type(cond)(cond._lock)  # type: ignore[attr-defined]
 
-    def _wait(
-        self, tid: int, waiter: _Waiter, lend: tuple[int, Callable[[], None]] | None = None
-    ) -> None:
-        """Post ``waiter``, run ``lend`` if given, then sleep on
-        ``waiter.slot`` until every named release is in, or raise the
-        fault or the doom that ends the wait."""
+    def _wait(self, waiter: _Waiter, lend: tuple[int, Callable[[], None]] | None) -> None:
+        """Post ``waiter`` for its thread, run ``lend`` if given, then
+        sleep on ``waiter.slot`` until every named release is in, or raise
+        the fault or the doom that ends the wait."""
+        tid = waiter.acq.thread
         self._waiting[tid] = waiter
         for rel in waiter.named:
             self._naming.setdefault(rel, []).append(tid)
@@ -443,9 +442,8 @@ class Endpoint:
 
     ``hook`` runs before every sync operation (schedule perturbation for
     determinism trials); its owner may swap it, as a ``ThreadCtx`` does
-    while it holds a child, and an acquire that lends its OS thread runs
-    the hook it was built with instead. ``recorder`` receives one trace
-    line per (event, partner) pair in the format
+    while it holds a child. ``recorder`` receives one trace line per
+    (event, partner) pair in the format
     ``EVT <thread> <seq> REL|ACQ <partner-thread> <partner-seq>``.
     """
 
@@ -459,7 +457,7 @@ class Endpoint:
         self.registry = registry
         self.thread = thread
         self.seq = 0
-        self.hook = self._perturb = hook
+        self.hook = hook
         self._recorder = recorder
 
     def next_seq(self) -> int:
@@ -507,11 +505,10 @@ class Endpoint:
         ascending label order (order is part of the semantics: it fixes
         conflict attribution). ``lend`` goes to ``ChannelRegistry.claim``."""
         named = _validate_partners(partners, min_seq=TERMINAL_SEQ)
-        hook = self.hook if lend is None else self._perturb
-        if hook is not None:
-            hook()
+        if self.hook is not None:
+            self.hook()
         label = self._advance()
-        diffs = self.registry.claim(label, named, self.thread, lend)
+        diffs = self.registry.claim(label, named, lend)
         for rel in sorted(named):
             self._trace(label, "ACQ", rel)
             ws.apply_diff(diffs[rel])
@@ -526,5 +523,5 @@ class Endpoint:
             self.hook()
         label = SyncLabel(self.thread, TERMINAL_SEQ)
         self._trace(label, "REL", None)
-        self.registry.deposit_terminal(label, ws.extract_terminal())
+        self.registry.deposit(label, (), ws.extract_terminal())
         return label

@@ -47,7 +47,7 @@ from determ.runtime import (
     tree_fold,
 )
 from determ.script import parse_script
-from determ.store import Address, global_addresses
+from determ.store import Address, Diff, global_addresses
 from determ.sync import SyncLabel
 
 
@@ -399,11 +399,11 @@ def test_each_satisfied_acquire_wakes_its_waiter_at_most_once():
     reg._cond = CountingCondition()
     claim = reg.claim
 
-    def counting_claim(acq, rels, tid, *lend):
-        claims[tid] += 1
-        outer, claiming.tid = getattr(claiming, "tid", None), tid
+    def counting_claim(acq, rels, *lend):
+        claims[acq.thread] += 1
+        outer, claiming.tid = getattr(claiming, "tid", None), acq.thread
         try:
-            return claim(acq, rels, tid, *lend)
+            return claim(acq, rels, *lend)
         finally:
             claiming.tid = outer
 
@@ -1325,10 +1325,10 @@ def test_teams_and_tasks_finish_under_rapid_thread_switching():
 
 def _parked_workers(pool, at_least=1):
     deadline = time.monotonic() + 10.0
-    while len(pool._idle) < at_least:
+    while pool._idle < at_least:
         assert time.monotonic() < deadline, "workers never parked"
         time.sleep(0.001)
-    return len(pool._idle)
+    return pool._idle
 
 
 def _wait_on_a_worker(root, body):
@@ -1805,6 +1805,26 @@ def test_an_acquire_naming_the_held_child_runs_it_on_the_same_os_thread():
     assert root.ws.read(handle.result) != me
     assert root.read("x") == 9
     rt.finish()
+    assert rt.errors == {}
+
+
+def test_a_lending_wait_that_faults_before_it_lends_holds_its_child_again():
+    # A release the taskwait does not name is aimed at its acquire label,
+    # so the claim faults before it can run the held task. The task stays
+    # held, and the root's next operation, here finish, launches it.
+    rt = Runtime()
+    root = rt.root()
+    ran_on = []
+    handle = root.spawn_task(lambda ctx: ran_on.append(threading.get_ident()))
+    rt.registry.deposit(SyncLabel(9, 1), (SyncLabel(0, root.ep.next_seq()),), Diff({}, {}))
+    with pytest.raises(PairingError) as info:
+        root.taskwait(handle)
+    assert (info.value.kind, info.value.contested) == ("acquire", SyncLabel(0, 2))
+    assert info.value.claimants == (SyncLabel(1, 0), SyncLabel(9, 1))
+    assert str(info.value) == "acquire pairing violation at (0,2): (1,0), (9,1)"
+    assert ran_on == []
+    rt.finish()
+    assert len(ran_on) == 1 and ran_on[0] != threading.get_ident()
     assert rt.errors == {}
 
 

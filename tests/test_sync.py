@@ -81,7 +81,7 @@ def test_deposit_then_claim_moves_one_diff():
     reg = ChannelRegistry()
     diff = Diff({1: 1}, {})
     reg.deposit(lab(1, 1), [lab(2, 1)], diff)
-    out = reg.claim(lab(2, 1), [lab(1, 1)], tid=2)
+    out = reg.claim(lab(2, 1), [lab(1, 1)])
     assert out == {lab(1, 1): diff}
 
 
@@ -89,7 +89,7 @@ def test_claim_blocks_until_deposit_arrives():
     reg = ChannelRegistry()
     reg.register(1)
     reg.register(2)
-    result = run_async(lambda: reg.claim(lab(2, 1), [lab(1, 1)], tid=2))
+    result = run_async(lambda: reg.claim(lab(2, 1), [lab(1, 1)]))
     diff = Diff({1: 3}, {})
     reg.deposit(lab(1, 1), [lab(2, 1)], diff)
     assert result() == {lab(1, 1): diff}
@@ -100,15 +100,15 @@ def test_claim_gathers_several_releases():
     d1, d2 = Diff({1: 1}, {}), Diff({3: 1}, {})
     reg.deposit(lab(1, 1), [lab(2, 1)], d1)
     reg.deposit(lab(3, 1), [lab(2, 1)], d2)
-    out = reg.claim(lab(2, 1), [lab(1, 1), lab(3, 1)], tid=2)
+    out = reg.claim(lab(2, 1), [lab(1, 1), lab(3, 1)])
     assert out == {lab(1, 1): d1, lab(3, 1): d2}
 
 
 def test_terminal_deposit_claimed_by_label_alone():
     reg = ChannelRegistry()
     diff = Diff({5: 2}, {})
-    reg.deposit_terminal(lab(5, TERMINAL_SEQ), diff)
-    out = reg.claim(lab(0, 1), [lab(5, TERMINAL_SEQ)], tid=0)
+    reg.deposit(lab(5, TERMINAL_SEQ), (), diff)
+    out = reg.claim(lab(0, 1), [lab(5, TERMINAL_SEQ)])
     assert out == {lab(5, TERMINAL_SEQ): diff}
 
 
@@ -130,7 +130,7 @@ def test_release_label_reuse_is_a_violation():
 def test_deposit_at_claimed_label_that_never_named_it():
     reg = ChannelRegistry()
     reg.deposit(lab(1, 1), [lab(3, 1)], empty_diff())
-    reg.claim(lab(3, 1), [lab(1, 1)], tid=3)
+    reg.claim(lab(3, 1), [lab(1, 1)])
     with pytest.raises(PairingError) as info:
         reg.deposit(lab(2, 1), [lab(3, 1)], empty_diff())
     assert info.value.kind == "acquire"
@@ -142,7 +142,7 @@ def test_claim_with_unnamed_deposit_pending():
     reg = ChannelRegistry()
     reg.deposit(lab(1, 1), [lab(3, 1)], empty_diff())
     with pytest.raises(PairingError) as info:
-        reg.claim(lab(3, 1), [lab(2, 1)], tid=3)
+        reg.claim(lab(3, 1), [lab(2, 1)])
     assert info.value.kind == "acquire"
     assert info.value.contested == lab(3, 1)
     assert info.value.claimants == (lab(1, 1), lab(2, 1))
@@ -152,7 +152,7 @@ def test_claim_of_release_aimed_elsewhere():
     reg = ChannelRegistry()
     reg.deposit(lab(1, 1), [lab(2, 7)], empty_diff())
     with pytest.raises(PairingError) as info:
-        reg.claim(lab(3, 1), [lab(1, 1)], tid=3)
+        reg.claim(lab(3, 1), [lab(1, 1)])
     assert info.value.kind == "release"
     assert info.value.contested == lab(1, 1)
     assert info.value.claimants == (lab(2, 7), lab(3, 1))
@@ -160,10 +160,10 @@ def test_claim_of_release_aimed_elsewhere():
 
 def test_terminal_release_claimed_twice():
     reg = ChannelRegistry()
-    reg.deposit_terminal(lab(5, 0), empty_diff())
-    reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
+    reg.deposit(lab(5, 0), (), empty_diff())
+    reg.claim(lab(1, 1), [lab(5, 0)])
     with pytest.raises(PairingError) as info:
-        reg.claim(lab(2, 1), [lab(5, 0)], tid=2)
+        reg.claim(lab(2, 1), [lab(5, 0)])
     assert info.value.kind == "release"
     assert info.value.contested == lab(5, 0)
     assert info.value.claimants == (lab(1, 1), lab(2, 1))
@@ -171,9 +171,9 @@ def test_terminal_release_claimed_twice():
 
 def test_terminal_label_reuse_is_a_violation():
     reg = ChannelRegistry()
-    reg.deposit_terminal(lab(5, 0), empty_diff())
+    reg.deposit(lab(5, 0), (), empty_diff())
     with pytest.raises(PairingError):
-        reg.deposit_terminal(lab(5, 0), empty_diff())
+        reg.deposit(lab(5, 0), (), empty_diff())
 
 
 def _payload(err):
@@ -188,21 +188,21 @@ def test_terminal_double_claim_payload_ignores_arrival_order():
 
     early = ChannelRegistry()
     diff = empty_diff()
-    early.deposit_terminal(lab(5, 0), diff)
-    assert early.claim(first, [lab(5, 0)], tid=1) == {lab(5, 0): diff}
+    early.deposit(lab(5, 0), (), diff)
+    assert early.claim(first, [lab(5, 0)]) == {lab(5, 0): diff}
     with pytest.raises(PairingError) as info:
-        early.claim(second, [lab(5, 0)], tid=2)
+        early.claim(second, [lab(5, 0)])
     deposit_first = _payload(info.value)
 
     late = ChannelRegistry()
     for tid in (1, 2, 5):
         late.register(tid)
     results = {
-        tid: run_async(lambda a=acq, t=tid: late.claim(a, [lab(5, 0)], tid=t))
+        tid: run_async(lambda a=acq: late.claim(a, [lab(5, 0)]))
         for tid, acq in ((1, first), (2, second))
     }
     wait_blocked(late, 2)
-    late.deposit_terminal(lab(5, 0), diff)
+    late.deposit(lab(5, 0), (), diff)
     served, raised = [], []
     for result in results.values():
         try:
@@ -233,13 +233,13 @@ def test_loser_of_a_terminal_claim_is_not_doomed():
         for tid in {1, 5, *losers, *(r.thread for rels in losers.values() for r in rels)}:
             reg.register(tid)
         results = {
-            tid: run_async(lambda t=tid, rels=rels: reg.claim(lab(t, 1), rels, tid=t))
+            tid: run_async(lambda t=tid, rels=rels: reg.claim(lab(t, 1), rels))
             for tid, rels in losers.items()
         }
         wait_blocked(reg, len(losers))
         with reg._cond:  # no loser can wake until all three steps are done
-            reg.deposit_terminal(lab(5, 0), empty_diff())
-            reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
+            reg.deposit(lab(5, 0), (), empty_diff())
+            reg.claim(lab(1, 1), [lab(5, 0)])
             reg.mark_done(5)
         expected = []
         for tid, result in results.items():
@@ -255,15 +255,15 @@ def test_loser_of_a_terminal_claim_is_not_doomed():
 
 def test_claimed_terminal_diff_is_dropped():
     reg = ChannelRegistry()
-    reg.deposit_terminal(lab(5, 0), Diff({5: 1}, {}))
-    reg.claim(lab(1, 1), [lab(5, 0)], tid=1)
+    reg.deposit(lab(5, 0), (), Diff({5: 1}, {}))
+    reg.claim(lab(1, 1), [lab(5, 0)])
     assert lab(5, 0) not in reg._floating
     # The claim tombstone still guards the label.
     with pytest.raises(PairingError) as info:
-        reg.claim(lab(2, 1), [lab(5, 0)], tid=2)
+        reg.claim(lab(2, 1), [lab(5, 0)])
     assert info.value.claimants == (lab(1, 1), lab(2, 1))
     with pytest.raises(PairingError):
-        reg.deposit_terminal(lab(5, 0), empty_diff())
+        reg.deposit(lab(5, 0), (), empty_diff())
 
 
 def test_blocked_waiter_faults_for_a_release_aimed_elsewhere():
@@ -272,7 +272,7 @@ def test_blocked_waiter_faults_for_a_release_aimed_elsewhere():
     reg = ChannelRegistry()
     reg.register(1)
     reg.register(3)
-    result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)], tid=3))
+    result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)]))
     wait_blocked(reg)
     diff = empty_diff()
     reg.deposit(lab(1, 1), [lab(2, 9)], diff)
@@ -282,12 +282,12 @@ def test_blocked_waiter_faults_for_a_release_aimed_elsewhere():
     assert at_waiter.value.contested == lab(1, 1)
     assert at_waiter.value.claimants == (lab(2, 9), lab(3, 5))
     assert [_payload(v) for v in reg.violations()] == [_payload(at_waiter.value)]
-    assert reg.claim(lab(2, 9), [lab(1, 1)], tid=2) == {lab(1, 1): diff}
+    assert reg.claim(lab(2, 9), [lab(1, 1)]) == {lab(1, 1): diff}
 
     late = ChannelRegistry()
     late.deposit(lab(1, 1), [lab(2, 9)], empty_diff())
     with pytest.raises(PairingError) as on_arrival:
-        late.claim(lab(3, 5), [lab(1, 1)], tid=3)
+        late.claim(lab(3, 5), [lab(1, 1)])
     assert _payload(on_arrival.value) == _payload(at_waiter.value)
 
 
@@ -296,7 +296,7 @@ def test_release_into_a_blocked_claim_that_omits_it_faults_the_waiter():
     reg = ChannelRegistry()
     for tid in (1, 2, 3):
         reg.register(tid)
-    result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)], tid=3))
+    result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)]))
     wait_blocked(reg)
     reg.deposit(lab(2, 1), [lab(3, 5)], empty_diff())
     with pytest.raises(PairingError) as at_waiter:
@@ -307,7 +307,7 @@ def test_release_into_a_blocked_claim_that_omits_it_faults_the_waiter():
 
     done = ChannelRegistry()
     done.deposit(lab(1, 1), [lab(3, 5)], empty_diff())
-    done.claim(lab(3, 5), [lab(1, 1)], tid=3)
+    done.claim(lab(3, 5), [lab(1, 1)])
     with pytest.raises(PairingError) as at_releaser:
         done.deposit(lab(2, 1), [lab(3, 5)], empty_diff())
     assert _payload(at_releaser.value) == _payload(at_waiter.value)
@@ -320,7 +320,7 @@ def test_broadcast_deposit_satisfies_waiter_among_targets():
     reg.register(1)
     reg.register(3)
     diff = Diff({1: 1}, {})
-    result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)], tid=3))
+    result = run_async(lambda: reg.claim(lab(3, 5), [lab(1, 1)]))
     reg.deposit(lab(1, 1), [lab(2, 9), lab(3, 5)], diff)
     assert result() == {lab(1, 1): diff}
     assert reg.violations() == ()
@@ -360,8 +360,8 @@ def test_crossed_waits_doom_both_threads():
     reg = ChannelRegistry()
     reg.register(0)
     reg.register(1)
-    r0 = run_async(lambda: reg.claim(lab(0, 1), [lab(1, 1)], tid=0))
-    r1 = run_async(lambda: reg.claim(lab(1, 1), [lab(0, 1)], tid=1))
+    r0 = run_async(lambda: reg.claim(lab(0, 1), [lab(1, 1)]))
+    r1 = run_async(lambda: reg.claim(lab(1, 1), [lab(0, 1)]))
     for result in (r0, r1):
         with pytest.raises(DeadlockError) as info:
             result()
@@ -375,7 +375,7 @@ def test_waiting_on_finished_thread_is_doom():
     reg.register(2)
     reg.mark_done(2)
     with pytest.raises(DeadlockError) as info:
-        reg.claim(lab(1, 1), [lab(2, 5)], tid=1)
+        reg.claim(lab(1, 1), [lab(2, 5)])
     assert info.value.blocked == (1,)
 
 
@@ -383,7 +383,7 @@ def test_waiting_on_unregistered_thread_is_doom():
     reg = ChannelRegistry()
     reg.register(1)
     with pytest.raises(DeadlockError) as info:
-        reg.claim(lab(1, 1), [lab(9, 2)], tid=1)
+        reg.claim(lab(1, 1), [lab(9, 2)])
     assert info.value.blocked == (1,)
 
 
@@ -391,7 +391,7 @@ def test_releaser_finishing_dooms_its_waiter():
     reg = ChannelRegistry()
     reg.register(1)
     reg.register(2)
-    result = run_async(lambda: reg.claim(lab(1, 1), [lab(2, 4)], tid=1))
+    result = run_async(lambda: reg.claim(lab(1, 1), [lab(2, 4)]))
     reg.mark_done(2)
     with pytest.raises(DeadlockError) as info:
         result()
@@ -403,8 +403,8 @@ def test_chain_behind_a_live_thread_is_not_doomed():
     for t in (1, 2, 3):
         reg.register(t)
     # 1 waits on 2; 2 waits on 3; 3 eventually delivers. Nobody dooms.
-    r1 = run_async(lambda: reg.claim(lab(1, 1), [lab(2, 1)], tid=1))
-    r2 = run_async(lambda: reg.claim(lab(2, 1), [lab(3, 1)], tid=2))
+    r1 = run_async(lambda: reg.claim(lab(1, 1), [lab(2, 1)]))
+    r2 = run_async(lambda: reg.claim(lab(2, 1), [lab(3, 1)]))
     assert reg.doomed() == ()
     reg.deposit(lab(3, 1), [lab(2, 1)], empty_diff())
     r2()
@@ -418,7 +418,7 @@ def test_doomed_and_unwound_threads_are_reported():
     reg.register(1)
     reg.register(2)
     reg.mark_done(2)
-    result = run_async(lambda: reg.claim(lab(1, 1), [lab(2, 9)], tid=1))
+    result = run_async(lambda: reg.claim(lab(1, 1), [lab(2, 9)]))
     with pytest.raises(DeadlockError):
         result()
     assert reg.doomed() == (1,)
@@ -437,7 +437,7 @@ def test_wait_unwound_outlasts_doom():
 
     def stuck(tid, other):
         try:
-            reg.claim(lab(tid, 1), [lab(other, 1)], tid=tid)
+            reg.claim(lab(tid, 1), [lab(other, 1)])
         except DeadlockError:
             caught[tid].set()
             gate.wait(10.0)
@@ -472,12 +472,12 @@ def test_a_lender_woken_by_a_fault_does_not_hold_off_its_childs_doom():
     def run():
         reg.deposit(lab(1, 1), [lab(0, 1)], empty_diff())
         with pytest.raises(DeadlockError) as info:
-            reg.claim(lab(1, 2), [lab(2, 1)], tid=1)
+            reg.claim(lab(1, 2), [lab(2, 1)])
         doomed.append(info.value.blocked)
         reg.mark_done(1)
 
     with pytest.raises(PairingError) as info:
-        reg.claim(lab(0, 1), [lab(1, TERMINAL_SEQ)], tid=0, lend=(1, run))
+        reg.claim(lab(0, 1), [lab(1, TERMINAL_SEQ)], lend=(1, run))
     assert str(info.value) == "acquire pairing violation at (0,1): (1,0), (1,1)"
     assert doomed == [(1,)]
 
@@ -489,14 +489,14 @@ def test_a_lender_runs_again_in_the_step_that_ends_its_child():
     reg = ChannelRegistry()
     for t in (0, 1, 2):
         reg.register(t)
-    waiting = run_async(lambda: reg.claim(lab(2, 1), [lab(0, 2)], tid=2))
+    waiting = run_async(lambda: reg.claim(lab(2, 1), [lab(0, 2)]))
     wait_blocked(reg)
 
     def run():
-        reg.deposit_terminal(lab(1, TERMINAL_SEQ), empty_diff())
+        reg.deposit(lab(1, TERMINAL_SEQ), (), empty_diff())
         reg.mark_done(1)
 
-    reg.claim(lab(0, 1), [lab(1, TERMINAL_SEQ)], tid=0, lend=(1, run))
+    reg.claim(lab(0, 1), [lab(1, TERMINAL_SEQ)], lend=(1, run))
     assert reg.doomed() == ()
     reg.deposit(lab(0, 2), [lab(2, 1)], empty_diff())
     waiting()
