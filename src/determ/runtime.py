@@ -53,12 +53,12 @@ to a worker at its spawner's next operation, data op or sync event, or
 when the spawner's body ends or the root calls ``finish``, unless that
 operation is the ``_await`` that names it: then the waiter, which
 cannot go on before the child ends, posts its claim and runs the child
-on its own OS thread, if it is not itself run so and its stack is
-shallow (``_LEND_STACK_SHARE``). So a task overlaps nothing its spawner
-does outside determ between the spawn and its next operation. A
-``Runtime`` tracks logical threads only, through its registry: a thread
-is live from its launch or hold until it is done, and ``finish`` returns
-once every thread started on it is done.
+on its own OS thread if its stack is shallow (``_LEND_STACK_SHARE``).
+So a task overlaps nothing its spawner does outside determ between the
+spawn and its next operation. A ``Runtime`` tracks logical threads
+only, through its registry: a thread is live from its launch or hold
+until it is done, and ``finish`` returns once every thread started on
+it is done.
 """
 from __future__ import annotations
 
@@ -85,8 +85,8 @@ _CHILDREN = 2**32
 
 # A thread lends its OS thread only while its stack holds at most this
 # share of the recursion limit (62 frames of the default 1000). A child
-# run inline starts on top of its lender's stack, so it has at most that
-# many frames fewer to recurse in than on a worker.
+# run inline starts on top of its lender's stack, so at any nesting depth
+# it has at most about that many frames fewer to recurse in than on a worker.
 _LEND_STACK_SHARE = 16
 
 # Error precedence when several threads of a team failed: report the most
@@ -142,12 +142,12 @@ class StaticSchedule:
     iterations: int
     chunk: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.iterations < 0 or (self.chunk is not None and self.chunk < 1):
+            raise ConfigError(f"{self} needs iterations >= 0 and chunk >= 1 or None")
+
     def chunk_size(self, nthreads: int) -> int:
-        if self.chunk is not None:
-            if self.chunk < 1:
-                raise ConfigError("chunk must be >= 1")
-            return self.chunk
-        return max(1, math.ceil(self.iterations / nthreads))
+        return self.chunk or max(1, math.ceil(self.iterations / nthreads))
 
     def owner(self, i: int, nthreads: int) -> int:
         return (i // self.chunk_size(nthreads)) % nthreads
@@ -499,8 +499,8 @@ class ThreadCtx:
         self.ep = Endpoint(rt.registry, tid, hook=self._perturb, recorder=recorder)
         # The started child not launched yet, with its main, if any.
         self._held: tuple[ThreadCtx, Callable[[ThreadCtx], Any]] | None = None
-        # Whether this thread runs on the OS thread of its waiter, which
-        # it then lends to no child of its own.
+        # Whether this thread ran on its waiter's OS thread: tells the
+        # waiter's ``_await`` that the lent child did run.
         self._inline = False
         # Reduction variables of the teams this thread runs in, by
         # address: a member's parent's plus its own team's; a task's
@@ -636,12 +636,12 @@ class ThreadCtx:
 
     def _await(self, tids: Sequence[int]) -> None:
         """Claim the terminal releases of ``tids`` in one acquire set. If
-        the held child is among them, take it first and lend it this OS
-        thread; a claim that faults before the child runs holds it again.
-        A doomed wait raises by the waiter's rule in the module docstring."""
+        the held child is among them and ``_shallow()``, take it first and
+        lend it this OS thread; a claim that faults before it runs holds it
+        again. A doomed wait raises by the module docstring's waiter rule."""
         lend = None
         held = self._held
-        if held is not None and held[0].tid in tids and not self._inline and _shallow():
+        if held is not None and held[0].tid in tids and _shallow():
             self._take_held()
             lend = (held[0].tid, functools.partial(self._run_inline, *held))
         try:

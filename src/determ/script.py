@@ -18,12 +18,16 @@ fully determines every channel. Example::
 
 Operations: READ <cell> <local>, WRITE <cell> <expr>, ALLOC <local>,
 REL <t> <n>, ACQ <t> <n>, RELSET <t:n,...>, ACQSET <t:n,...>.
-A cell is a global name or a local bound by ALLOC. Expressions combine
-integer literals and locals with + - *, max(a, b) and parentheses.
+A cell is a global name or a local bound by ALLOC. An expression is a
+subset of Python's expression syntax, read by ``ast``: decimal integer
+literals and locals combined with + - *, max(a, b) and parentheses, with
+at most 200 operators (each of ``+-*(,`` counted) and 201 words.
 ``#`` starts a comment. Thread sections must be numbered 0..n-1 in order.
 """
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -84,79 +88,45 @@ class ScriptProgram:
 # ----------------------------------------------------------------------
 
 
-def _tokenize_expr(text: str) -> list[str]:
-    out: list[str] = []
-    cur = ""
-    for ch in text:
-        if ch.isalnum() or ch == "_":
-            cur += ch
-        else:
-            if cur:
-                out.append(cur)
-                cur = ""
-            if ch in "+-*(),":
-                out.append(ch)
-            elif not ch.isspace():
-                raise ValueError(f"bad character {ch!r}")
-    if cur:
-        out.append(cur)
-    return out
+# Checked before parsing: the alphabet, and at most this many operators,
+# counting each of ``+-*(,`` and each word past the first. That bounds
+# every tree's depth, for the walks below and for ``ast.parse``, whose own
+# limits differ between versions.
+_MAX_OPERATORS = 200
+_ALIEN = re.compile(r"[^\w\s+\-*(),]")
+_WORD = re.compile(r"\w+")
+_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul"}
 
 
-def _parse_expr(tokens: list[str]) -> tuple:
-    pos = 0
+def _parse_expr(text: str) -> tuple:
+    if alien := _ALIEN.search(text):
+        raise ValueError(f"bad character {alien.group()!r}")
+    words = _WORD.findall(text)
+    if max(sum(map(text.count, "+-*(,")), len(words) - 1) > _MAX_OPERATORS:
+        raise ValueError(f"more than {_MAX_OPERATORS} operators")
+    if bad := [w for w in words if w[0].isdigit() and not w.isdigit()]:
+        raise ValueError(f"bad term {bad[0]!r}")  # ``ast`` warns of ``1or``
+    text = " ".join(text.split())  # ``ast`` reads only ASCII whitespace
+    try:
+        tree = ast.parse(text, mode="eval").body
+    except SyntaxError:
+        raise ValueError("not an expression") from None
+    return _convert(tree, text.encode())
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
 
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def parse_sum() -> tuple:
-        node = parse_product()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_product()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def parse_product() -> tuple:
-        node = parse_atom()
-        while peek() == "*":
-            take()
-            node = ("mul", node, parse_atom())
-        return node
-
-    def parse_atom() -> tuple:
-        tok = take()
-        if tok == "(":
-            node = parse_sum()
-            take(")")
-            return node
-        if tok == "max":
-            take("(")
-            a = parse_sum()
-            take(",")
-            b = parse_sum()
-            take(")")
-            return ("max", a, b)
-        if tok.lstrip("-").isdigit():
-            return ("const", int(tok))
-        if tok.isidentifier():
-            return ("local", tok)
-        raise ValueError(f"bad token {tok!r}")
-
-    node = parse_sum()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens {tokens[pos:]}")
-    return node
+def _convert(node: ast.expr, src: bytes) -> tuple:
+    """``node`` as a tuple tree; its offsets index the UTF-8 ``src``."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _convert(node.left, src), _convert(node.right, src))
+    call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    if call and node.func.id == "max" and len(node.args) == 2 and not node.keywords:
+        return ("max", _convert(node.args[0], src), _convert(node.args[1], src))
+    term = src[node.col_offset : node.end_col_offset].decode()
+    if isinstance(node, ast.Constant) and term.isdigit():
+        return ("const", node.value)
+    if isinstance(node, ast.Name) and term == node.id and term != "max":
+        return ("local", term)
+    raise ValueError(f"bad term {term!r}")
 
 
 def eval_expr(expr: tuple, locals_: dict[str, Any]) -> Any:
@@ -250,7 +220,7 @@ def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
             if len(fields) != 2:
                 raise ScriptError(line_no, "usage: WRITE <cell> <expr>")
             try:
-                expr = _parse_expr(_tokenize_expr(fields[1]))
+                expr = _parse_expr(fields[1])
             except ValueError as err:
                 raise ScriptError(line_no, f"bad expression: {err}") from None
             current.append(WriteOp(fields[0], expr))

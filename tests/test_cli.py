@@ -85,6 +85,23 @@ def test_check_rejects_unparsable_files(capsys, tmp_path):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (" + ".join(["1"] * 1200), "more than 200 operators"),
+        ("not " * 3000 + "1", "more than 200 operators"),
+        ("1|" * 3000 + "1", "bad character '|'"),
+    ],
+    ids=["1200-terms", "3000-nots", "3000-ors"],
+)
+def test_oracle_rejects_an_oversized_expression_as_a_script_error(capsys, tmp_path, text, message):
+    path = tmp_path / "long.txt"
+    path.write_text(f"GLOBAL x 1\nTHREAD 0\nWRITE x {text}\n")
+    code, _, err = run_cli(capsys, "oracle", str(path))
+    assert code == 2
+    assert err == f"error=line 3: bad expression: {message}\n"
+
+
 def test_oracle_enumerates_the_flat_model(capsys):
     code, out, _ = run_cli(capsys, "oracle", "swap", "--mode", "sc")
     report = kv(out)

@@ -87,6 +87,13 @@ def test_schedule_rejects_bad_chunk():
         StaticSchedule(4, chunk=0).chunk_size(2)
 
 
+def test_schedule_rejects_bad_input_where_it_is_built():
+    with pytest.raises(ConfigError, match=r"iterations=-5, chunk=None\) needs"):
+        StaticSchedule(-5)
+    with pytest.raises(ConfigError, match=r"iterations=4, chunk=0\) needs"):
+        StaticSchedule(4, chunk=0)
+
+
 _TEMPLATES = {
     "tree": _tree_template,
     "pairwise": lambda n: _pairwise_template(n, 1),
@@ -1729,16 +1736,42 @@ def test_members_that_each_wait_their_own_task_are_never_doomed():
     assert rt.errors == {} and rt.registry.doomed() == ()
 
 
-def test_a_task_chain_past_the_inline_depth_returns_the_sequential_result():
+def _frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_nested_wait_runs_its_task_on_the_same_os_thread():
+    rt = Runtime()
+    root = rt.root()
+    ran_on = []
+
+    def inner(ctx):
+        ran_on.append(threading.get_ident())
+
+    def outer(ctx):
+        ran_on.append(threading.get_ident())
+        ctx.taskwait(ctx.spawn_task(inner))
+
+    root.taskwait(root.spawn_task(outer))
+    rt.finish()
+    assert ran_on == [threading.get_ident()] * 2
+    assert rt.errors == {}
+
+
+def test_a_task_chain_deeper_than_the_stack_share_returns_the_sequential_result():
     # Run inline all the way down, the chain would nest Python frames
-    # past the recursion limit, about 11 a level.
+    # past the recursion limit, about 11 a level. A waiter lends only
+    # while its stack is shallow, so no body starts much deeper than that.
     depth = sys.getrecursionlimit() // 10
     rt = Runtime({"x": 1})
-    deepest = []
+    started = {}
 
     def chain(k):
         def body(ctx):
-            deepest.append(ctx._inline)
+            started[k] = (_frame_depth(), threading.get_ident())
             if k == 0:
                 return ctx.read("x")
             return ctx.taskwait(ctx.spawn_task(chain(k - 1))) + 1
@@ -1747,7 +1780,10 @@ def test_a_task_chain_past_the_inline_depth_returns_the_sequential_result():
 
     assert rt.root().taskwait(rt.root().spawn_task(chain(depth))) == depth + 1
     rt.finish()
-    assert max(deepest) == 1
+    assert max(d for d, _ in started.values()) <= (
+        sys.getrecursionlimit() // runtime._LEND_STACK_SHARE + 15
+    )
+    assert any(started[k][1] == started[k - 1][1] for k in range(1, depth + 1))
     assert rt.errors == {}
 
 

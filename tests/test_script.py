@@ -1,9 +1,16 @@
 """Script parsing, expression evaluation, and static validation."""
 from __future__ import annotations
 
+import sys
+import threading
+import warnings
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from determ.errors import ScriptError
+from determ.oracle import Outcome, enumerate_dc
 from determ.script import (
     AcquireOp,
     AllocOp,
@@ -92,6 +99,10 @@ def _expr(text):
         ("max(a, 3)", {"a": 8}, 8),
         ("max(a + 1, b * 2) - 4", {"a": 9, "b": 3}, 6),
         ("0 - 5", {}, -5),
+        ("00", {}, 0),
+        ("max(a, b,)", {"a": 1, "b": 2}, 2),  # Python allows the trailing comma
+        ("(max)(a, b)", {"a": 1, "b": 2}, 2),
+        ("1\u00a0+\u3000a", {"a": 2}, 3),  # any str.isspace() character spaces
     ],
 )
 def test_expression_evaluation(text, env, expected):
@@ -106,11 +117,155 @@ def test_expr_locals_lists_every_reference():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1 +", "max(1)", "(1", "1)", "a $ b", "* 3", "1 2"],
+    [
+        "", "1 +", "max(1)", "(1", "1)", "a $ b", "* 3", "1 2",
+        "-3", "0x1", "1_0", "1.5", "True", "a ** 2", "a // 2", "max", "max(a)",
+        "max(a, b, c)", "min(a, b)", "a[0]", "(a, b)", "007",
+        "if",  # a Python keyword, though READ binds it as a local
+    ],
 )
 def test_malformed_expressions_are_script_errors(bad):
-    with pytest.raises(ScriptError):
-        parse_script(f"GLOBAL x 0\nTHREAD 0\nWRITE x {bad}\n")
+    # Every local is bound, so the WRITE line itself is at fault.
+    with pytest.raises(ScriptError) as info:
+        parse_script(f"GLOBAL x 0\nTHREAD 0\nREAD x a\nREAD x b\nREAD x if\nWRITE x {bad}\n")
+    assert info.value.line == 6
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 +", "not an expression"),
+        ("007", "not an expression"),
+        ("0x1", "bad term '0x1'"),
+        ("max(a)", "bad term 'max(a)'"),
+        ("ﬁ", "bad term 'ﬁ'"),  # NFKC reads it as the name fi
+        ("None", "bad term 'None'"),
+        ("1or 2", "bad term '1or'"),  # rejected before Python's parser warns
+        ("1.5", "bad character '.'"),
+        ("a\x00", "bad character '\\x00'"),
+    ],
+)
+def test_bad_expressions_name_their_fault(text, message, recwarn):
+    with pytest.raises(ScriptError) as info:
+        parse_script(f"GLOBAL x 0\nTHREAD 0\nREAD x ﬁ\nWRITE x {text}\n")
+    assert str(info.value) == f"line 4: bad expression: {message}"
+    assert len(recwarn) == 0
+
+
+def test_an_expression_of_200_operators_parses_and_evaluates():
+    program = parse_script(f"GLOBAL x 1\nTHREAD 0\nWRITE x {' + '.join(['1'] * 201)}\n")
+    assert enumerate_dc(program).outcomes == (Outcome("STATE", "x=201"),)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " + ".join(["1"] * 202),  # 201 operators
+        " + ".join(["1"] * 1200),
+        "(" * 400 + "1" + ")" * 400,
+    ],
+    ids=["201-operators", "1200-terms", "400-parentheses"],
+)
+def test_expressions_past_the_operator_bound_are_script_errors(text):
+    with pytest.raises(ScriptError) as info:
+        parse_script(f"GLOBAL x 1\nTHREAD 0\nWRITE x {text}\n")
+    assert str(info.value) == "line 3: bad expression: more than 200 operators"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1|" * 3000 + "1", "bad character '|'"),
+        ("~" * 3000 + "1", "bad character '~'"),
+        ("a." * 3000 + "a", "bad character '.'"),
+        ("not " * 3000 + "a", "more than 200 operators"),
+        ("a if a else " * 3000 + "a", "more than 200 operators"),
+        ("1 " * 202, "more than 200 operators"),
+    ],
+    ids=["3000-ors", "3000-inverts", "3000-attributes", "3000-nots", "3000-ifs", "202-words"],
+)
+def test_deep_inputs_outside_the_grammar_never_reach_the_parser(text, message):
+    # Python's parser raises RecursionError on each 3000-deep one in 3.11 and 3.12.
+    with pytest.raises(ScriptError) as info:
+        parse_script(f"GLOBAL x 1\nTHREAD 0\nREAD x a\nWRITE x {text}\n")
+    assert str(info.value) == f"line 4: bad expression: {message}"
+
+
+def test_parsing_from_many_threads_leaves_the_warning_filters_alone():
+    before = list(warnings.filters)
+    # Distinct texts, so no cache in front of the parser could hide a race.
+    texts = [text for i in range(400) for text in (f"a + {i}", f"{i}or 2", f"max(b, {i})")]
+
+    def parse_all():
+        for text in texts:
+            try:
+                parse_script(f"GLOBAL x 1\nTHREAD 0\nREAD x a\nREAD x b\nWRITE x {text}\n")
+            except ScriptError:
+                pass
+
+    threads = [threading.Thread(target=parse_all) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert warnings.filters == before
+
+
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*"}
+_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2}
+
+
+def _tree_strategy(depth):
+    leaf = st.one_of(
+        st.builds(lambda n: ("const", n), st.integers(0, 99)),
+        st.sampled_from([("local", "a"), ("local", "b")]),
+    )
+    tree = leaf
+    for _ in range(depth):
+        tree = st.one_of(leaf, st.tuples(st.sampled_from(["add", "sub", "mul", "max"]), tree, tree))
+    return tree
+
+
+def _render(tree, draw, outer=0, right=False):
+    """``tree`` as Python text, with random spacing and with redundant
+    parentheses besides those its shape needs."""
+
+    def space():
+        return draw(st.sampled_from(["", " ", "  ", "\t"]))
+
+    kind = tree[0]
+    needed = False
+    if kind in ("const", "local"):
+        text = str(tree[1])
+    elif kind == "max":
+        a, b = _render(tree[1], draw), _render(tree[2], draw)
+        text = f"max({space()}{a}{space()},{space()}{b}{space()})"
+    else:
+        prec = _PRECEDENCE[kind]
+        a, b = _render(tree[1], draw, prec), _render(tree[2], draw, prec, right=True)
+        text = f"{a}{space()}{_SYMBOLS[kind]}{space()}{b}"
+        # Operators group to the left, so a right operand of equal
+        # precedence keeps its shape only in parentheses.
+        needed = prec < outer or (prec == outer and right)
+    if needed or draw(st.booleans()):
+        text = f"({space()}{text}{space()})"
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_strategy(6), st.integers(-50, 50), st.integers(-50, 50), st.data())
+def test_rendered_trees_parse_back_and_evaluate_as_python(tree, a, b, data):
+    text = _render(tree, data.draw)
+    assume(sum(map(text.count, "+-*(,")) <= 200)
+    assert _expr(text) == tree
+    env = {"a": a, "b": b}
+    assert eval_expr(tree, env) == eval(text, {"max": max}, env)
 
 
 # ----------------------------------------------------------------------
