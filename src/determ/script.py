@@ -168,7 +168,7 @@ def _parse_label_list(text: str, line_no: int) -> tuple[SyncLabel, ...]:
         if ":" not in part:
             raise ScriptError(line_no, f"expected t:n, got {part!r}")
         t, _, n = part.partition(":")
-        if not (t.strip().isdigit() and n.strip().isdigit()):
+        if not (t.strip().isdecimal() and n.strip().isdecimal()):
             raise ScriptError(line_no, f"expected integers in {part!r}")
         labels.append(SyncLabel(int(t), int(n)))
     return tuple(labels)
@@ -192,7 +192,7 @@ def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
             if current is not None:
                 raise ScriptError(line_no, "GLOBAL must precede THREAD sections")
             fields = rest.split()
-            if len(fields) != 2 or not fields[1].lstrip("-").isdigit():
+            if len(fields) != 2 or not fields[1].removeprefix("-").isdecimal():
                 raise ScriptError(line_no, "usage: GLOBAL <name> <int>")
             gname = fields[0]
             if not gname.isidentifier():
@@ -202,7 +202,7 @@ def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
             seen_globals.add(gname)
             globals_.append((gname, int(fields[1])))
         elif op == "THREAD":
-            if not rest.strip().isdigit() or int(rest) != len(threads):
+            if not rest.strip().isdecimal() or int(rest) != len(threads):
                 raise ScriptError(
                     line_no, f"THREAD sections must be numbered in order, got {rest!r}"
                 )
@@ -231,7 +231,7 @@ def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
             current.append(AllocOp(fields[0]))
         elif op in ("REL", "ACQ"):
             fields = rest.split()
-            if len(fields) != 2 or not all(f.isdigit() for f in fields):
+            if len(fields) != 2 or not all(f.isdecimal() for f in fields):
                 raise ScriptError(line_no, f"usage: {op} <thread> <seq>")
             label = (SyncLabel(int(fields[0]), int(fields[1])),)
             current.append(ReleaseOp(label) if op == "REL" else AcquireOp(label))

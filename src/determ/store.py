@@ -73,6 +73,12 @@ bucket map and keeps a copy of it, one entry per live writer, and the
 workspace copies each bucket the first time it changes it after a
 release.
 
+A cell holds its stamp as a plain ``(writer, seq)`` pair, and the store
+builds each cell with ``tuple.__new__``: a write then builds both tuples
+in C and runs no named tuple constructor in Python. The pair hashes and
+compares equal to its :class:`VersionStamp`, the form users see: every
+DataRaceError payload gives its stamps as VersionStamps.
+
 Values are treated as opaque immutable data; equality of final states is
 structural equality of (stamp, value) maps.
 """
@@ -110,7 +116,9 @@ class VersionStamp(NamedTuple):
     """Identity of one write event: writing thread plus its write counter.
 
     A named tuple, as :class:`Address` is: hashing, equality and ordering
-    run in C, and ``hash(VersionStamp(w, s)) == hash((w, s))``.
+    run in C, and ``hash(VersionStamp(w, s)) == hash((w, s))``. It is the
+    form users see, in every Conflict; a cell holds the plain pair
+    ``(w, s)``, which compares and hashes equal.
     """
 
     writer: int
@@ -126,9 +134,10 @@ class VersionStamp(NamedTuple):
 INITIAL = VersionStamp(_INITIAL_WRITER, 0)
 
 
-def covers(knowledge: Mapping[int, int], stamp: VersionStamp) -> bool:
+def covers(knowledge: Mapping[int, int], stamp: tuple[int, int]) -> bool:
     """True when the write named by ``stamp`` is already known."""
-    return stamp.seq <= knowledge.get(stamp.writer, 0)
+    writer, seq = stamp
+    return seq <= knowledge.get(writer, 0)
 
 
 class _Final(NamedTuple):
@@ -199,11 +208,19 @@ class Conflict:
 
 
 class Cell(NamedTuple):
-    """One stored value and the stamp of the write that put it there. A
-    named tuple, because one is built on every write."""
+    """One stored value and the stamp of the write that put it there.
 
-    stamp: VersionStamp
+    One is built on every write, so the store builds it in C with
+    ``_new_cell``, and its stamp is the plain ``(writer, seq)`` pair,
+    equal to the VersionStamp it stands for.
+    """
+
+    stamp: tuple[int, int]
     value: Any
+
+
+# Builds a Cell in C, skipping the named tuple's Python-level __new__.
+_new_cell = tuple.__new__
 
 
 #: Per-writer cell index: writer id -> addresses of the cells it stamped.
@@ -279,7 +296,7 @@ class Workspace:
         self._alloc_counter = len(globals) if owner == ROOT_THREAD else 0
         table = names if names is not None else global_addresses(globals)
         self.cells: dict[Address, Cell] = {
-            addr: Cell(INITIAL, globals[name]) for name, addr in table.items()
+            addr: _new_cell(Cell, (INITIAL, globals[name])) for name, addr in table.items()
         }
         # Cells written by live writers, by writer, exact; see the module
         # docstring.
@@ -308,8 +325,10 @@ class Workspace:
             raise UnallocatedError(addr)
         return cell[1]
 
-    def write(self, addr: Address, value: Any) -> VersionStamp:
-        """Overwrite a cell with a fresh stamp by this workspace's owner."""
+    def write(self, addr: Address, value: Any) -> tuple[int, int]:
+        """Overwrite a cell with a fresh stamp by this workspace's owner,
+        and return the stamp: the plain ``(owner, seq)`` pair, equal to
+        ``VersionStamp(owner, seq)``."""
         cells = self.cells
         try:
             old = cells[addr]
@@ -317,8 +336,8 @@ class Workspace:
             raise UnallocatedError(addr) from None
         owner = self.owner
         self._write_counter = seq = self._write_counter + 1
-        stamp = VersionStamp(owner, seq)
-        cells[addr] = Cell(stamp, value)
+        stamp = (owner, seq)
+        cells[addr] = _new_cell(Cell, (stamp, value))
         self._live[owner] = seq
         if old[0][0] != owner:
             self._unindex(old[0][0], (addr,))
@@ -331,7 +350,7 @@ class Workspace:
         addr = Address(self.owner, self._alloc_counter)
         assert addr not in self.cells, "allocation slots never repeat"
         self._write_counter += 1
-        self.cells[addr] = Cell(VersionStamp(self.owner, self._write_counter), value)
+        self.cells[addr] = _new_cell(Cell, ((self.owner, self._write_counter), value))
         self._live[self.owner] = self._write_counter
         self._bucket(self.owner).add(addr)
         return addr
@@ -486,7 +505,7 @@ class Workspace:
                     if was != writer:
                         moved.append((addr, was))
                 else:
-                    conflicts.append(Conflict(addr, held, stamp))
+                    conflicts.append(Conflict(addr, VersionStamp(*held), VersionStamp(*stamp)))
             if got:
                 groups.append((writer, bucket, got, moved))
         if conflicts:
@@ -536,8 +555,8 @@ class Workspace:
         two workspaces that would behave identically compare equal.
         """
         cells = [
-            (addr.owner, addr.slot, cell.stamp.writer, cell.stamp.seq, repr(cell.value))
-            for addr, cell in sorted(self.cells.items())
+            (owner, slot, writer, seq, repr(value))
+            for (owner, slot), ((writer, seq), value) in sorted(self.cells.items())
         ]
         knowledge = sorted((w, s) for w, s in self.knowledge.items() if s > 0)
         return repr((cells, knowledge)).encode()
@@ -547,8 +566,8 @@ class Workspace:
         knowledge = self.knowledge
         assert knowledge.get(self.owner, 0) == self._write_counter
         for addr, cell in self.cells.items():
-            assert covers(knowledge, cell.stamp), (
-                f"cell {addr} stamped {cell.stamp} outside knowledge"
+            assert covers(knowledge, cell[0]), (
+                f"cell {addr} stamped {VersionStamp(*cell[0])} outside knowledge"
             )
         for writer, seq in knowledge.items():
             assert seq >= 0 and writer >= _INITIAL_WRITER
@@ -570,7 +589,7 @@ class Workspace:
             assert writer not in retired, f"bucket for retired writer {writer}"
             for addr in bucket:
                 cell = self.cells.get(addr)
-                assert cell is not None and cell.stamp.writer == writer, (
+                assert cell is not None and cell[0][0] == writer, (
                     f"stale index entry {addr} under writer {writer}"
                 )
             indexed += len(bucket)
@@ -578,13 +597,13 @@ class Workspace:
             assert self._index.get(writer) is bucket
         written = 0
         for addr, cell in self.cells.items():
-            writer = cell.stamp.writer
+            writer, seq = cell[0]
             if writer == _INITIAL_WRITER:
                 assert addr.owner == ROOT_THREAD, f"initial cell {addr} outside the globals"
             elif writer in retired:
                 final = record.finals[writer]
-                assert cell.stamp.seq <= final.seq and addr in final.cells, (
-                    f"cell {addr} stamped {cell.stamp} outside its writer's record"
+                assert seq <= final.seq and addr in final.cells, (
+                    f"cell {addr} stamped {VersionStamp(writer, seq)} outside its writer's record"
                 )
             else:
                 written += 1

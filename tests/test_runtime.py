@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import gc
+import hashlib
 import itertools
 import operator
 import os
@@ -47,7 +48,7 @@ from determ.runtime import (
     tree_fold,
 )
 from determ.script import parse_script
-from determ.store import Address, Diff, global_addresses
+from determ.store import Address, Diff, VersionStamp, global_addresses
 from determ.sync import SyncLabel
 
 
@@ -287,6 +288,52 @@ def _race_payload(seed):
 def test_sibling_write_conflict_is_deterministic_across_seeds():
     payloads = {_race_payload(seed) for seed in range(5)}
     assert payloads == {"conflicting concurrent writes: @0.1[1.1|2.1]"}
+
+
+def test_sibling_write_conflict_gives_version_stamps():
+    rt = Runtime({"x": 0}, seed=1, delay=0.001)
+    with pytest.raises(DataRaceError) as info:
+        rt.root().fork_join([lambda ctx: ctx.write("x", 1), lambda ctx: ctx.write("x", 2)])
+    rt.finish()
+    (conflict,) = info.value.conflicts
+    assert type(conflict.local) is VersionStamp and type(conflict.incoming) is VersionStamp
+    assert str(info.value) == "conflicting concurrent writes: @0.1[1.1|2.1]"
+
+
+def _library_program_state(seed):
+    """The root's final state_bytes() after a fixed program: a 2-member
+    fork_join with a sum reduction, writes, two barriers, a task and an
+    alloc."""
+    rt = Runtime({"a": 0, "b": 1, "total": 0}, seed=seed, delay=0.0005)
+
+    def body(ctx):
+        ctx.write("a" if ctx.rank == 0 else "b", ctx.rank + 10)
+        ctx.contribute("total", ctx.rank + 1)
+        ctx.barrier()
+        ctx.contribute("total", ctx.read("a") + ctx.read("b"))
+        ctx.barrier()
+        cell = ctx.alloc((ctx.rank, ctx.read("total")))
+        handle = ctx.spawn_task(lambda t: t.read(cell)[1] * 2)
+        ctx.write("a" if ctx.rank == 0 else "b", ctx.taskwait(handle))
+
+    root = rt.root()
+    root.fork_join([body] * 2, reductions=[Reduction("total", 0, operator.add)])
+    root.write("b", root.read("a") + root.read("total"))
+    root.alloc("done")
+    rt.finish()
+    root.ws.check_invariants()
+    return root.ws.state_bytes()
+
+
+#: sha256 of _library_program_state's bytes: it pins the encoding of
+#: cells and knowledge byte for byte, under every schedule.
+_LIBRARY_PROGRAM_DIGEST = "aaeb5b4036247b7288cd471909f506c6bf19181a195a525149893d116b9f7041"
+
+
+def test_library_program_state_bytes_are_pinned():
+    for seed in (None, 1, 2):
+        digest = hashlib.sha256(_library_program_state(seed)).hexdigest()
+        assert digest == _LIBRARY_PROGRAM_DIGEST, seed
 
 
 def test_child_exception_resurfaces_at_join():

@@ -293,6 +293,12 @@ def test_rendered_trees_parse_back_and_evaluate_as_python(tree, a, b, data):
         ("GLOBAL x 0\nTHREAD 0\nRELSET a:b\n", "expected integers"),
         ("GLOBAL x 0\n", "no THREAD sections"),
         ("", "no THREAD sections"),
+        # digits int() does not read, and a doubled sign
+        ("GLOBAL x \u00b2\nTHREAD 0\n", "line 1: usage: GLOBAL"),
+        ("GLOBAL x --5\nTHREAD 0\n", "line 1: usage: GLOBAL"),
+        ("GLOBAL x 0\nTHREAD \u00b2\n", "line 2: THREAD sections must be numbered"),
+        ("GLOBAL x 0\nTHREAD 0\nREL \u00b2 1\n", "line 3: usage: REL"),
+        ("GLOBAL x 0\nTHREAD 0\nACQSET \u00b2:1\n", "line 3: expected integers"),
     ],
 )
 def test_malformed_scripts_are_rejected(text, needle):

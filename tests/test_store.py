@@ -243,6 +243,20 @@ def test_concurrent_writes_conflict():
     assert {conflict.local, conflict.incoming} == {sa, sb}
 
 
+def test_race_payload_gives_version_stamps():
+    # Cells hold plain (writer, seq) pairs; a payload gives VersionStamps.
+    a, b, table = _pair()
+    sa = a.write(table["x"], 1)
+    assert sa == VersionStamp(1, 1) and hash(sa) == hash(VersionStamp(1, 1))
+    b.write(table["x"], 2)
+    with pytest.raises(DataRaceError) as info:
+        b.apply_diff(a.extract_diff())
+    (conflict,) = info.value.conflicts
+    assert type(conflict.local) is VersionStamp and type(conflict.incoming) is VersionStamp
+    assert (conflict.local, conflict.incoming) == ((2, 1), (1, 1))
+    assert str(info.value) == "conflicting concurrent writes: @0.1[2.1|1.1]"
+
+
 def test_conflict_is_symmetric():
     a, b, table = _pair()
     a.write(table["x"], 1)
@@ -402,7 +416,7 @@ def _index_of(writes):
     index = {}
     for addr, cell in writes.items():
         if cell.stamp != INITIAL:
-            index.setdefault(cell.stamp.writer, set()).add(addr)
+            index.setdefault(cell.stamp[0], set()).add(addr)
     return index
 
 
