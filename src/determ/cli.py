@@ -8,7 +8,10 @@ Subcommands::
     determ bench [--threads N] [--size N] [--reps N]
 
 SCRIPT is a path to a script file or the name of a bundled example
-(``determ oracle swap``). All reporting is ``key=value`` lines on stdout.
+(``determ oracle swap``). A demo's ``--threads`` applies to the
+``ordered`` and ``reduce`` demos and its ``--iterations`` to ``ordered``;
+the other demos read neither. All reporting is ``key=value`` lines on
+stdout.
 
 Exit codes: 0 success; 1 a determinism check failed; 2 usage or script
 errors; 3 a demo demonstrated an intentional model error; 4 resource
@@ -45,6 +48,10 @@ from .script import ScriptProgram, parse_script
 _THREAD_ENV = "DETERM_MAX_THREADS"
 
 
+class _UsageError(Exception):
+    """A usage error outside any script line; exits 2 like a script error."""
+
+
 def _thread_cap() -> int | None:
     raw = os.environ.get(_THREAD_ENV)
     if raw is None:
@@ -52,7 +59,7 @@ def _thread_cap() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise ScriptError(0, f"{_THREAD_ENV} must be an integer, got {raw!r}") from None
+        raise _UsageError(f"{_THREAD_ENV} must be an integer, got {raw!r}") from None
 
 
 def _at_least(low: int) -> Callable[[str], int]:
@@ -99,10 +106,9 @@ def _load_program(spec: str) -> ScriptProgram:
     try:
         return load_corpus(spec)
     except FileNotFoundError:
-        raise ScriptError(
-            0,
+        raise _UsageError(
             f"{spec!r} is neither a file nor a bundled example "
-            f"(have: {', '.join(corpus_names())})",
+            f"(have: {', '.join(corpus_names())})"
         ) from None
 
 
@@ -123,12 +129,13 @@ def _print_enumeration(prefix: str, result: EnumerationResult) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    _require_threads(args.threads)
     if args.name == "ordered":
+        _require_threads(args.threads)
         report = demos.ordered(
             args.iterations, args.threads, seed=args.seed, delay=args.delay
         )
     elif args.name == "reduce":
+        _require_threads(args.threads)
         report = demos.reduce(args.threads, seed=args.seed, delay=args.delay)
     else:
         report = demos.DEMOS[args.name](seed=args.seed, delay=args.delay)
@@ -269,8 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(demos.DEMOS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delay", type=_delay, default=0.002)
-    p.add_argument("--threads", type=_count, default=4)
-    p.add_argument("--iterations", type=_size, default=16)
+    p.add_argument(
+        "--threads", type=_count, default=4, help="team size of the ordered and reduce demos"
+    )
+    p.add_argument(
+        "--iterations", type=_size, default=16, help="loop length of the ordered demo"
+    )
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("check", help="enumerate a script and cross-check runs")
@@ -307,7 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except ScriptError as err:
+    except (ScriptError, _UsageError) as err:
         print(f"error={err}", file=sys.stderr)
         return 2
     except LimitError as err:

@@ -15,6 +15,7 @@ import pytest
 
 import determ
 from determ.cli import main
+from determ.oracle import corpus_names
 
 
 def run_cli(capsys, *args):
@@ -68,8 +69,9 @@ def test_check_accepts_a_script_file(capsys, tmp_path):
 def test_check_rejects_unknown_scripts(capsys):
     code, _, err = run_cli(capsys, "check", "not_bundled")
     assert code == 2
-    assert "neither a file nor a bundled example" in err
-    assert "swap" in err  # offers the available names
+    # offers the available names, and names no script line
+    names = ", ".join(corpus_names())
+    assert err == f"error='not_bundled' is neither a file nor a bundled example (have: {names})\n"
 
 
 def test_check_rejects_unparsable_files(capsys, tmp_path):
@@ -229,7 +231,15 @@ def test_malformed_thread_cap_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("DETERM_MAX_THREADS", "lots")
     code, _, err = run_cli(capsys, "check", "swap")
     assert code == 2
-    assert "must be an integer" in err
+    assert err == "error=DETERM_MAX_THREADS must be an integer, got 'lots'\n"
+
+
+def test_thread_cap_ignores_flags_a_demo_does_not_read(capsys, monkeypatch):
+    # swap runs two threads whatever --threads says
+    monkeypatch.setenv("DETERM_MAX_THREADS", "2")
+    code, out, _ = run_cli(capsys, "demo", "swap", "--delay", "0")
+    assert code == 0
+    assert out.splitlines() == ["x=2", "y=1"]
 
 
 @pytest.mark.parametrize(

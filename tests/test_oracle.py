@@ -7,12 +7,15 @@ are additionally re-derived here by a test-local brute-force explorer
 that shares no code with the enumerators, so a bug in the production
 search cannot hide itself. The partial-order reduction is checked
 against the same driver with its settle steps turned off, on the
-corpus, on one script per conflict rule and on generated scripts. States
-share their per-thread parts copy-on-write; every state's key is rebuilt
-from scratch once its successors exist, to show that building them
-changed nothing shared.
+corpus, on one script per conflict rule and on generated scripts, and
+both enumerations of a seeded population are pinned by digest. Every
+state's key is compared, once its successors exist, with the key it had
+when it was made, to show that building them changed nothing of it.
 """
 from __future__ import annotations
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -188,28 +191,19 @@ def test_reduction_keeps_every_corpus_outcome(name, enumerate_fn):
     assert reduced.states <= full.states
 
 
-def _drop_key_caches(st):
-    """Forget every cached key part of a state, so key() rebuilds it."""
-    if isinstance(st, oracle._DcState):
-        for th in st.threads:
-            th._snap = th._key = None
-    else:
-        st.lkeys = [None] * len(st.lkeys)
-        st.skey = None
-
-
 def _search(model, program, reduced):
-    """The search of _explore, yielding each state with its successors
-    as (stepped thread, successor) pairs once all of them are built."""
+    """The search of _explore, yielding each state with the key it had
+    when it was made and its successors as (stepped thread, successor)
+    pairs, once all of them are built."""
     with pytest.MonkeyPatch.context() as mp:
         if not reduced:
             mp.setattr(model, "settle", _no_settle)
         init = model(oracle._ops(program))
         init.settle()
         seen = {init.key()}
-        stack = [init]
+        stack = [(init, init.key())]
         while stack:
-            st = stack.pop()
+            st, made = stack.pop()
             succ = []
             for t in st.runnable():
                 nxt = st.clone()
@@ -219,42 +213,38 @@ def _search(model, program, reduced):
                 key = nxt.key()
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
-            yield st, succ
+                    stack.append((nxt, key))
+            yield st, made, succ
 
 
 @pytest.mark.parametrize("reduced", [True, False])
 @pytest.mark.parametrize("model", [oracle._DcState, oracle._ScState])
 def test_building_successors_leaves_the_parent_unchanged(model, reduced):
-    # Successors share the parent's threads (or locals and store) until
-    # they change them; a change that reached a shared part would show
-    # here.
+    # A paired-channel clone copies every thread; a shared-store one
+    # shares locals and store until they change. A successor's step that
+    # reached its parent would show here, and for the shared store so
+    # would a cached key part that went stale.
     for name in corpus_names():
-        for st, _ in _search(model, load_corpus(name), reduced):
-            before = st.key()
-            _drop_key_caches(st)
-            assert st.key() == before, name
+        for st, made, _ in _search(model, load_corpus(name), reduced):
+            assert st.key() == made, name
+            if model is oracle._ScState:
+                st.lkeys = [None] * len(st.lkeys)
+                st.skey = None
+                assert st.key() == made, name
 
 
 @pytest.mark.parametrize("reduced", [True, False])
-@pytest.mark.parametrize("model", [oracle._DcState, oracle._ScState])
+@pytest.mark.parametrize("model", [oracle._ScState])
 def test_a_successor_shares_what_its_step_left_alone(model, reduced):
-    # A successor shares every thread part that neither its step nor its
-    # settle changed. Any change to a thread moves its pc or its status,
-    # so a thread found where the parent left it must be the parent's.
-    if model is oracle._DcState:
-        parts = lambda st: st.threads
-        where = lambda st: [(th.pc, th.status) for th in st.threads]
-    else:
-        parts = lambda st: st.locals
-        where = lambda st: st.pcs
+    # A successor shares the locals of every thread that neither its step
+    # nor its settle changed. Any change to a thread's locals moves its
+    # pc, so locals found where the parent left them must be the parent's.
     shared = 0
     for name in corpus_names():
-        for st, succ in _search(model, load_corpus(name), reduced):
+        for st, _, succ in _search(model, load_corpus(name), reduced):
             for t, nxt in succ:
-                moved = zip(where(nxt), where(st))
-                pairs = zip(parts(nxt), parts(st), moved)
-                for u, (mine, theirs, (now, before)) in enumerate(pairs):
+                pairs = zip(nxt.locals, st.locals, nxt.pcs, st.pcs)
+                for u, (mine, theirs, now, before) in enumerate(pairs):
                     if u != t and now == before:
                         assert mine is theirs, (name, t, u)
                         shared += 1
@@ -377,43 +367,38 @@ _GEN_GLOBALS = ("g0", "g1")
 _GEN_KINDS = ("PAIR",) * 3 + ("REL", "ACQ", "ALLOC", "READ") + ("WRITE",) * 3
 
 
-@st.composite
-def _scripts(draw):
+def _script_text(integer, choice):
     """2-4 threads of at most 6 ops: matched REL/ACQ pairs, REL/ACQ (or
     their sets) with random, often mis-paired partners at seqs 1-3, and
-    ALLOC, READ and WRITE.
+    ALLOC, READ and WRITE. ``integer(lo, hi)`` and ``choice(seq)`` make
+    every draw, from hypothesis or from a seeded ``random.Random``.
 
     Ops are drawn in one global order, so a matched pair's ACQ follows
     its REL; only values read from globals feed expressions, so every
     expression stays integer arithmetic whatever the schedule.
     """
-    nthreads = draw(st.integers(2, 4))
+    nthreads = integer(2, 4)
     body = [[] for _ in range(nthreads)]
     nsync = [0] * nthreads
     cells = [list(_GEN_GLOBALS) for _ in range(nthreads)]
     values = [[] for _ in range(nthreads)]
-    for k in range(draw(st.integers(2, 6 * nthreads))):
+    for k in range(integer(2, 6 * nthreads)):
         open_ = [t for t in range(nthreads) if len(body[t]) < 6]
         if len(open_) < 2:
             break
-        t = draw(st.sampled_from(open_))
-        kind = draw(st.sampled_from(_GEN_KINDS))
+        t = choice(open_)
+        kind = choice(_GEN_KINDS)
         if kind == "PAIR":
-            u = draw(st.sampled_from([u for u in open_ if u != t]))
+            u = choice([u for u in open_ if u != t])
             nsync[t] += 1
             nsync[u] += 1
             body[t].append(f"REL {u} {nsync[u]}")
             body[u].append(f"ACQ {t} {nsync[t]}")
         elif kind in ("REL", "ACQ"):
-            others = [u for u in range(nthreads) if u != t]
-            labels = draw(
-                st.lists(
-                    st.tuples(st.sampled_from(others), st.integers(1, 3)),
-                    min_size=1,
-                    max_size=3,
-                    unique=True,
-                )
-            )
+            free = [(u, n) for u in range(nthreads) if u != t for n in (1, 2, 3)]
+            labels = []
+            for _ in range(integer(1, 3)):
+                labels.append(choice([label for label in free if label not in labels]))
             nsync[t] += 1
             if len(labels) == 1:
                 body[t].append(f"{kind} {labels[0][0]} {labels[0][1]}")
@@ -423,22 +408,30 @@ def _scripts(draw):
             cells[t].append(f"p{k}")
             body[t].append(f"ALLOC p{k}")
         elif kind == "READ":
-            cell = draw(st.sampled_from(cells[t]))
+            cell = choice(cells[t])
             if cell in _GEN_GLOBALS:
                 values[t].append(f"v{k}")
             body[t].append(f"READ {cell} v{k}")
         else:
-            cell = draw(st.sampled_from(cells[t]))
-            if values[t] and draw(st.booleans()):
-                expr = f"{draw(st.sampled_from(values[t]))} + {draw(st.integers(1, 9))}"
+            cell = choice(cells[t])
+            if values[t] and choice((False, True)):
+                expr = f"{choice(values[t])} + {integer(1, 9)}"
             else:
-                expr = str(draw(st.integers(0, 99)))
+                expr = str(integer(0, 99))
             body[t].append(f"WRITE {cell} {expr}")
     lines = ["GLOBAL g0 0", "GLOBAL g1 3"]
     for t, ops in enumerate(body):
         lines.append(f"THREAD {t}")
         lines.extend(ops)
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _scripts(draw):
+    """:func:`_script_text` drawn by hypothesis."""
+    return _script_text(
+        lambda lo, hi: draw(st.integers(lo, hi)), lambda seq: draw(st.sampled_from(seq))
+    )
 
 
 # Scripts where settling must refuse a step, one per conflict rule, with
@@ -534,6 +527,29 @@ def test_reduced_enumeration_matches_the_reference(text):
     for enumerate_fn in (enumerate_dc, enumerate_sc):
         reduced = enumerate_fn(program)
         assert reduced.outcomes == _unreduced(enumerate_fn, program).outcomes
+
+
+# The sha256 of both enumerations of 300 scripts drawn by
+# random.Random(1), then of the corpus, pinned when the paired-channel
+# simulator dropped its copy-on-write threads and cached keys. 175 of the
+# 300 paired-channel searches branch, so their clones are exercised too.
+_POPULATION_DIGEST = "ee24645f0268d48543597c6374bb6d5d03b851cdac6195d88cd9b0e349cb7649"
+
+
+def test_a_seeded_population_enumerates_as_pinned():
+    # A yardstick for work on either enumerator: every outcome text and
+    # state count must stay as they were.
+    rng = random.Random(1)
+    texts = [_script_text(rng.randint, rng.choice) for _ in range(300)]
+    programs = [parse_script(text) for text in texts]
+    programs += [load_corpus(name) for name in corpus_names()]
+    digest = hashlib.sha256()
+    for program in programs:
+        for enumerate_fn in (enumerate_dc, enumerate_sc):
+            result = enumerate_fn(program)
+            outcomes = " | ".join(o.text for o in result.outcomes)
+            digest.update(f"{result.states} {outcomes}\n".encode())
+    assert digest.hexdigest() == _POPULATION_DIGEST
 
 
 @st.composite
