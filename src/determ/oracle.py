@@ -92,17 +92,18 @@ first pc past the last of them. The op is free of conflicts once every
 other live thread has reached its horizon, a test of O(threads) per
 step.
 
-A shared-store state costs what its step changed. A clone shares its
-parent's per-thread locals and its store. The first change to such a
-part after a clone copies it, and both sides give up ownership at the
-clone, so neither can change what the other sees. Each part caches its
-share of the dedup key, cleared before every change. A paired-channel
-state is copied whole at a clone and caches no key: settling leaves its
-search one state per well-paired script. Over perfbench's seed-1001
-verify pool, all 512 paired-channel enumerations end at their first
-state without a clone, while the 256 shared-store ones reach 4,634
-states through 7,081 clones. The ops are decoded once per enumeration
-(:func:`_ops`), with the labels, stamps and addresses they mint.
+A paired-channel state copies its threads at a clone. Every other part
+a clone shares is replaced, never changed in place, so neither side can
+change what the other sees: a shared-store step builds its thread's new
+locals, or the new store, and leaves the old one to whoever still holds
+it. The shared-store state caches each part's share of the dedup key
+and drops it when the part is replaced; the paired-channel state caches
+no key, since settling leaves its search one state per well-paired
+script. Over perfbench's seed-1001 verify pool, all 512 paired-channel
+enumerations end at their first state without a clone, while the 256
+shared-store ones reach 4,634 states through 7,081 clones. The ops are
+decoded once per enumeration (:func:`_ops`), with the labels, stamps
+and addresses they mint.
 
 :func:`run_on_runtime` executes the program on :class:`Runtime`, the
 same executor library programs run on, under a seeded schedule
@@ -766,17 +767,14 @@ def enumerate_dc(
 
 class _ScState:
     """A shared-store state. A thread's event counter is not kept: it
-    follows from its pc (see :func:`_ops`). Per-thread locals, and
-    the store, are shared with the state this one was cloned from until
-    :meth:`_own_locals` or :meth:`_own_shared` copies them; ``lkeys``
+    follows from its pc (see :func:`_ops`). A clone shares each
+    thread's locals and the store with the state it was cloned from, so
+    a step replaces such a part and never changes it in place. ``lkeys``
     caches each thread's part of the key and ``skey`` the store's, None
-    once it may be stale. A settled state keeps only the live locals of
-    each thread (see :meth:`settle`)."""
+    once their part is replaced. A settled state keeps only the live
+    locals of each thread (see :meth:`settle`)."""
 
-    __slots__ = (
-        "plan", "steps", "gates", "live", "pcs", "locals", "lkeys", "owned", "shared",
-        "shared_owned", "skey",
-    )
+    __slots__ = ("plan", "steps", "gates", "live", "pcs", "locals", "lkeys", "shared", "skey")
 
     def __init__(self, decoded: _Decoded):
         self.plan = decoded.plan
@@ -804,9 +802,7 @@ class _ScState:
         self.pcs = [0] * n
         self.locals: list[dict[str, Any]] = [{} for _ in range(n)]
         self.lkeys: list[tuple | None] = [None] * n
-        self.owned = (1 << n) - 1
         self.shared: dict[Address, Any] = dict(decoded.cells)
-        self.shared_owned = True
         self.skey: tuple | None = None
 
     def clone(self) -> "_ScState":
@@ -818,30 +814,9 @@ class _ScState:
         c.pcs = list(self.pcs)
         c.locals = list(self.locals)
         c.lkeys = list(self.lkeys)
-        c.owned = self.owned = 0  # every part is shared from now on
         c.shared = self.shared
-        c.shared_owned = self.shared_owned = False
         c.skey = self.skey
         return c
-
-    def _own_locals(self, t: int) -> dict[str, Any]:
-        """Thread ``t``'s locals, ready to be changed in place: copied on
-        their first change since the last clone, their key part cleared."""
-        locals_ = self.locals[t]
-        if not self.owned >> t & 1:
-            locals_ = self.locals[t] = locals_.copy()
-            self.owned |= 1 << t
-        self.lkeys[t] = None
-        return locals_
-
-    def _own_shared(self) -> dict[Address, Any]:
-        """The store, ready to be changed in place, as :meth:`_own_locals`."""
-        shared = self.shared
-        if not self.shared_owned:
-            shared = self.shared = shared.copy()
-            self.shared_owned = True
-        self.skey = None
-        return shared
 
     def key(self) -> tuple:
         lkeys = self.lkeys
@@ -895,7 +870,6 @@ class _ScState:
             live = live[pcs[t]]
             if not live.issuperset(locals_):
                 self.locals[t] = {k: v for k, v in locals_.items() if k in live}
-                self.owned |= 1 << t
                 self.lkeys[t] = None
 
     def step(self, t: int) -> None:
@@ -904,17 +878,20 @@ class _ScState:
         kind = op[0]
         if kind == _READ:
             _, addr, cell, into = op
-            locals_ = self._own_locals(t)
-            locals_[into] = self.shared[addr or locals_[cell]]
+            locals_ = self.locals[t]
+            self.locals[t] = {**locals_, into: self.shared[addr or locals_[cell]]}
+            self.lkeys[t] = None
         elif kind == _WRITE:
             _, addr, cell, expr, _ = op
             locals_ = self.locals[t]
-            addr = addr or locals_[cell]
-            self._own_shared()[addr] = eval_expr(expr, locals_)
+            self.shared = {**self.shared, addr or locals_[cell]: eval_expr(expr, locals_)}
+            self.skey = None
         elif kind == _ALLOC:
             _, addr, into, _ = op
-            self._own_shared()[addr] = None
-            self._own_locals(t)[into] = addr
+            self.shared = {**self.shared, addr: None}
+            self.skey = None
+            self.locals[t] = {**self.locals[t], into: addr}
+            self.lkeys[t] = None
         # Under the flat model a sync event only advances the counter an
         # acquire waits on, which is the pc; no payload moves because
         # memory is shared.

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import queue
 import random
@@ -143,8 +144,15 @@ class StaticSchedule:
     chunk: int | None = None
 
     def __post_init__(self) -> None:
-        if self.iterations < 0 or (self.chunk is not None and self.chunk < 1):
-            raise ConfigError(f"{self} needs iterations >= 0 and chunk >= 1 or None")
+        try:  # any integer type, held as a plain int
+            iterations = operator.index(self.iterations)
+            chunk = None if self.chunk is None else operator.index(self.chunk)
+        except TypeError:
+            iterations = chunk = -1
+        if iterations < 0 or (chunk is not None and chunk < 1):
+            raise ConfigError(f"{self} needs integer iterations >= 0 and chunk >= 1 or None")
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "chunk", chunk)
 
     def chunk_size(self, nthreads: int) -> int:
         return self.chunk or max(1, math.ceil(self.iterations / nthreads))
@@ -382,6 +390,8 @@ class Runtime:
         delay: float = 0.002,
         trace: bool = False,
     ) -> None:
+        if not 0 <= delay < math.inf:  # also false for nan
+            raise ConfigError(f"delay must be finite and non-negative, got {delay!r}")
         self.registry = ChannelRegistry()
         self._globals = dict(globals or {})
         self.names = global_addresses(self._globals)

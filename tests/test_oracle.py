@@ -221,9 +221,10 @@ def _search(model, program, reduced):
 @pytest.mark.parametrize("model", [oracle._DcState, oracle._ScState])
 def test_building_successors_leaves_the_parent_unchanged(model, reduced):
     # A paired-channel clone copies every thread; a shared-store one
-    # shares locals and store until they change. A successor's step that
-    # reached its parent would show here, and for the shared store so
-    # would a cached key part that went stale.
+    # shares each thread's locals and the store, which a step replaces
+    # and never changes in place. A successor's step that reached its
+    # parent would show here, and for the shared store so would a cached
+    # key part that went stale.
     for name in corpus_names():
         for st, made, _ in _search(model, load_corpus(name), reduced):
             assert st.key() == made, name
@@ -239,7 +240,9 @@ def test_a_successor_shares_what_its_step_left_alone(model, reduced):
     # A successor shares the locals of every thread that neither its step
     # nor its settle changed. Any change to a thread's locals moves its
     # pc, so locals found where the parent left them must be the parent's.
-    shared = 0
+    # Likewise the store: where no thread ran a WRITE or an ALLOC between
+    # the parent's pcs and the successor's, it must be the parent's.
+    shared = stores = 0
     for name in corpus_names():
         for st, _, succ in _search(model, load_corpus(name), reduced):
             for t, nxt in succ:
@@ -248,7 +251,15 @@ def test_a_successor_shares_what_its_step_left_alone(model, reduced):
                     if u != t and now == before:
                         assert mine is theirs, (name, t, u)
                         shared += 1
-    assert shared
+                ran = (
+                    op[0]
+                    for ops, now, before in zip(st.plan, nxt.pcs, st.pcs)
+                    for op in ops[before:now]
+                )
+                if not {oracle._WRITE, oracle._ALLOC}.intersection(ran):
+                    assert nxt.shared is st.shared, (name, t)
+                    stores += 1
+    assert shared and stores
 
 
 def test_enumeration_is_reproducible():

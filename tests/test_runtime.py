@@ -93,6 +93,40 @@ def test_schedule_rejects_bad_input_where_it_is_built():
         StaticSchedule(-5)
     with pytest.raises(ConfigError, match=r"iterations=4, chunk=0\) needs"):
         StaticSchedule(4, chunk=0)
+    # Not integers. Unchecked, a fractional chunk gives rank 0 of 2 the
+    # iterations [0, 1, 3], and the others raise TypeError in a member.
+    for bad, shown in [
+        ((4, 1.5), "iterations=4, chunk=1.5"),
+        ((2.5,), "iterations=2.5, chunk=None"),
+        (("4",), "iterations='4', chunk=None"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"StaticSchedule\({shown}\) needs integer"):
+            StaticSchedule(*bad)
+
+
+def test_schedule_holds_any_integer_type_as_an_int():
+    class Four:
+        def __index__(self) -> int:
+            return 4
+
+    s = StaticSchedule(Four(), chunk=Four())
+    assert (type(s.iterations), type(s.chunk)) == (int, int)
+    assert s == StaticSchedule(4, chunk=4)
+    assert s.owned(0, 2) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1])
+def test_runtime_rejects_a_delay_that_is_not_finite_and_non_negative(seed, delay):
+    # Unchecked, nan and inf fail inside time.sleep at every thread's
+    # first op, and -1 silently turns the perturbation off.
+    with pytest.raises(ConfigError, match="delay must be finite and non-negative"):
+        Runtime(seed=seed, delay=delay)
+    program = parse_script("GLOBAL x 0\nTHREAD 0\nWRITE x 1\n")
+    with pytest.raises(ConfigError, match="delay must be finite and non-negative"):
+        oracle.run_on_runtime(program, seed=seed, delay=delay)
+    with pytest.raises(ConfigError, match="delay must be finite and non-negative"):
+        oracle.check_program(program, trials=1, seed=seed or 0, delay=delay)
 
 
 _TEMPLATES = {
