@@ -120,12 +120,13 @@ from importlib import resources
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
+    ConfigError,
     DataRaceError,
     DeadlockError,
     LimitError,
     PairingError,
 )
-from .runtime import Runtime, ThreadCtx
+from .runtime import Runtime, ThreadCtx, check_delay
 from .script import (
     AcquireOp,
     AllocOp,
@@ -719,6 +720,8 @@ def _explore(
     moves a pc or ends a thread, so no path comes back to a state it
     passed, and the initial state's key would never be matched.
     """
+    if max_states < 1:
+        raise ConfigError(f"max_states must be at least 1, got {max_states}")
     _check_limits(program)
     decoded = _ops(program)
     init = model(decoded)
@@ -1012,6 +1015,9 @@ def check_program(
     delay: float = 0.002,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> CheckReport:
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    check_delay(delay)
     dc = enumerate_dc(program, max_states)
     seen: set[Outcome] = set()
     for i in range(trials):

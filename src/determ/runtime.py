@@ -243,6 +243,11 @@ def _ordered_template(schedule: "StaticSchedule", n: int) -> _Template:
     return _chain(n, [(a, b) for a, b in zip(owners, owners[1:]) if a != b])
 
 
+def check_delay(delay: float) -> None:
+    if not 0 <= delay < math.inf:  # also false for nan
+        raise ConfigError(f"delay must be finite and non-negative, got {delay!r}")
+
+
 def perturb_hook(
     seed: int | None, tid: int, delay: float
 ) -> Callable[[], None] | None:
@@ -390,8 +395,7 @@ class Runtime:
         delay: float = 0.002,
         trace: bool = False,
     ) -> None:
-        if not 0 <= delay < math.inf:  # also false for nan
-            raise ConfigError(f"delay must be finite and non-negative, got {delay!r}")
+        check_delay(delay)
         self.registry = ChannelRegistry()
         self._globals = dict(globals or {})
         self.names = global_addresses(self._globals)

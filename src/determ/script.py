@@ -23,6 +23,11 @@ subset of Python's expression syntax, read by ``ast``: decimal integer
 literals and locals combined with + - *, max(a, b) and parentheses, with
 at most 200 operators (each of ``+-*(,`` counted) and 201 words.
 ``#`` starts a comment. Thread sections must be numbered 0..n-1 in order.
+
+A script is read once, and every check runs as its line is read: a
+ScriptError names the line of the operation it rejects. A partner thread
+whose section comes later is checked once the whole script is read; its
+error names the line that names that partner.
 """
 from __future__ import annotations
 
@@ -175,10 +180,14 @@ def _parse_label_list(text: str, line_no: int) -> tuple[SyncLabel, ...]:
 
 
 def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
-    globals_: list[tuple[str, int]] = []
+    globals_: dict[str, int] = {}
     threads: list[list[Op]] = []
     current: list[Op] | None = None
-    seen_globals: set[str] = set()
+    # A local of the current thread is either a plain value (bound by READ)
+    # or a cell handle (bound by ALLOC); the two are not interchangeable.
+    kinds: dict[str, str] = {}
+    # (line, thread, partner thread) for each partner thread not yet declared.
+    forward: list[tuple[int, int, int]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,6 +196,7 @@ def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
         parts = line.split(None, 1)
         op = parts[0].upper()
         rest = parts[1] if len(parts) > 1 else ""
+        tid = len(threads) - 1
 
         if op == "GLOBAL":
             if current is not None:
@@ -197,10 +207,9 @@ def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
             gname = fields[0]
             if not gname.isidentifier():
                 raise ScriptError(line_no, f"bad global name {gname!r}")
-            if gname in seen_globals:
+            if gname in globals_:
                 raise ScriptError(line_no, f"duplicate global {gname!r}")
-            seen_globals.add(gname)
-            globals_.append((gname, int(fields[1])))
+            globals_[gname] = int(fields[1])
         elif op == "THREAD":
             if not rest.strip().isdecimal() or int(rest) != len(threads):
                 raise ScriptError(
@@ -208,96 +217,72 @@ def parse_script(text: str, name: str = "<script>") -> ScriptProgram:
                 )
             current = []
             threads.append(current)
+            kinds = {}
         elif current is None:
             raise ScriptError(line_no, f"{op} before any THREAD section")
-        elif op == "READ":
-            fields = rest.split()
+        elif op in ("READ", "WRITE"):
+            # A WRITE's expression may hold spaces; a READ's local may not.
+            fields = rest.split() if op == "READ" else rest.split(None, 1)
             if len(fields) != 2:
-                raise ScriptError(line_no, "usage: READ <cell> <local>")
-            current.append(ReadOp(fields[0], fields[1]))
-        elif op == "WRITE":
-            fields = rest.split(None, 1)
-            if len(fields) != 2:
-                raise ScriptError(line_no, "usage: WRITE <cell> <expr>")
-            try:
-                expr = _parse_expr(fields[1])
-            except ValueError as err:
-                raise ScriptError(line_no, f"bad expression: {err}") from None
-            current.append(WriteOp(fields[0], expr))
+                usage = "<local>" if op == "READ" else "<expr>"
+                raise ScriptError(line_no, f"usage: {op} <cell> {usage}")
+            cell, arg = fields
+            if op == "WRITE":
+                try:
+                    expr = _parse_expr(arg)
+                except ValueError as err:
+                    raise ScriptError(line_no, f"bad expression: {err}") from None
+            if cell not in globals_ and kinds.get(cell) != "cell":
+                raise ScriptError(
+                    line_no,
+                    f"thread {tid} touches {cell!r}, which is neither a global nor an "
+                    "allocated cell",
+                )
+            if op == "READ":
+                kinds[arg] = "value"
+                current.append(ReadOp(cell, arg))
+                continue
+            for ref in expr_locals(expr):
+                if kinds.get(ref) != "value":
+                    raise ScriptError(
+                        line_no,
+                        f"thread {tid} computes with {ref!r}, which is not a value local",
+                    )
+            current.append(WriteOp(cell, expr))
         elif op == "ALLOC":
             fields = rest.split()
             if len(fields) != 1:
                 raise ScriptError(line_no, "usage: ALLOC <local>")
+            kinds[fields[0]] = "cell"
             current.append(AllocOp(fields[0]))
-        elif op in ("REL", "ACQ"):
-            fields = rest.split()
-            if len(fields) != 2 or not all(f.isdecimal() for f in fields):
-                raise ScriptError(line_no, f"usage: {op} <thread> <seq>")
-            label = (SyncLabel(int(fields[0]), int(fields[1])),)
-            current.append(ReleaseOp(label) if op == "REL" else AcquireOp(label))
-        elif op in ("RELSET", "ACQSET"):
-            labels = _parse_label_list(rest, line_no)
-            current.append(
-                ReleaseOp(labels) if op == "RELSET" else AcquireOp(labels)
-            )
+        elif op in ("REL", "ACQ", "RELSET", "ACQSET"):
+            if op in ("RELSET", "ACQSET"):
+                labels = _parse_label_list(rest, line_no)
+            else:
+                fields = rest.split()
+                if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+                    raise ScriptError(line_no, f"usage: {op} <thread> <seq>")
+                labels = (SyncLabel(int(fields[0]), int(fields[1])),)
+            if len(set(labels)) != len(labels):
+                raise ScriptError(line_no, f"thread {tid} names duplicate partners")
+            for label in labels:
+                if label.thread >= len(threads):
+                    forward.append((line_no, tid, label.thread))
+                elif label.thread == tid:
+                    raise ScriptError(line_no, f"thread {tid} syncs with itself")
+                if label.seq < 1:
+                    raise ScriptError(line_no, f"bad partner seq {label.seq}")
+            current.append(ReleaseOp(labels) if op.startswith("REL") else AcquireOp(labels))
         else:
             raise ScriptError(line_no, f"unknown operation {op!r}")
 
-    program = ScriptProgram(
+    if not threads:
+        raise ScriptError(0, "script has no THREAD sections")
+    for line_no, tid, partner in forward:
+        if partner >= len(threads):
+            raise ScriptError(line_no, f"thread {tid} names unknown thread {partner}")
+    return ScriptProgram(
         name=name,
-        globals=tuple(globals_),
+        globals=tuple(globals_.items()),
         threads=tuple(tuple(t) for t in threads),
     )
-    _validate(program)
-    return program
-
-
-def _validate(program: ScriptProgram) -> None:
-    if not program.threads:
-        raise ScriptError(0, "script has no THREAD sections")
-    global_names = {name for name, _ in program.globals}
-    for tid, ops in enumerate(program.threads):
-        # A local is either a plain value (bound by READ) or a cell handle
-        # (bound by ALLOC); the two are not interchangeable.
-        kinds: dict[str, str] = {}
-        for op in ops:
-            if isinstance(op, ReadOp):
-                _check_cell(op.cell, global_names, kinds, tid)
-                kinds[op.into] = "value"
-            elif isinstance(op, AllocOp):
-                kinds[op.into] = "cell"
-            elif isinstance(op, WriteOp):
-                _check_cell(op.cell, global_names, kinds, tid)
-                for ref in expr_locals(op.expr):
-                    if kinds.get(ref) != "value":
-                        raise ScriptError(
-                            0,
-                            f"thread {tid} computes with {ref!r}, which is not "
-                            "a value local",
-                        )
-            elif isinstance(op, (ReleaseOp, AcquireOp)):
-                if len(set(op.partners)) != len(op.partners):
-                    raise ScriptError(0, f"thread {tid} names duplicate partners")
-                for label in op.partners:
-                    if not 0 <= label.thread < program.nthreads:
-                        raise ScriptError(
-                            0,
-                            f"thread {tid} names unknown thread {label.thread}",
-                        )
-                    if label.thread == tid:
-                        raise ScriptError(0, f"thread {tid} syncs with itself")
-                    if label.seq < 1:
-                        raise ScriptError(0, f"bad partner seq {label.seq}")
-
-
-def _check_cell(
-    cell: str, global_names: set[str], kinds: dict[str, str], tid: int
-) -> None:
-    if cell in global_names:
-        return
-    if kinds.get(cell) != "cell":
-        raise ScriptError(
-            0,
-            f"thread {tid} touches {cell!r}, which is neither a global nor an "
-            "allocated cell",
-        )

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from determ import oracle, runtime
-from determ.errors import DeadlockError, LimitError
+from determ.errors import ConfigError, DeadlockError, LimitError
 from determ.oracle import (
     DEFAULT_MAX_STATES,
     MAX_OPS,
@@ -903,6 +903,36 @@ def test_state_budget_is_enforced(enumerate_fn):
     name = "double_release" if enumerate_fn is enumerate_dc else "swap"
     with pytest.raises(LimitError):
         enumerate_fn(load_corpus(name), max_states=1)
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_dc, enumerate_sc])
+@pytest.mark.parametrize("max_states", [0, -4])
+def test_a_budget_below_one_state_is_a_config_error(enumerate_fn, max_states):
+    # race settles to one paired-channel state, which a budget of 0 exceeds too.
+    with pytest.raises(ConfigError, match=f"max_states must be at least 1, got {max_states}"):
+        enumerate_fn(load_corpus("race"), max_states=max_states)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"trials": -3}, "trials must be at least 1, got -3"),
+        ({"trials": 0}, "trials must be at least 1, got 0"),
+        ({"delay": float("nan")}, "delay must be finite and non-negative, got nan"),
+        ({"delay": float("inf")}, "delay must be finite and non-negative, got inf"),
+        ({"delay": -0.5}, "delay must be finite and non-negative, got -0.5"),
+        ({"max_states": 0}, "max_states must be at least 1, got 0"),
+    ],
+)
+def test_check_program_rejects_bad_settings_before_any_work(monkeypatch, kwargs, message):
+    def ran(*args, **kw):
+        raise AssertionError("an enumeration or a trial ran")
+
+    monkeypatch.setattr(oracle, "_ops", ran)
+    monkeypatch.setattr(oracle, "run_on_runtime", ran)
+    with pytest.raises(ConfigError) as info:
+        check_program(load_corpus("swap"), **kwargs)
+    assert str(info.value) == message
 
 
 def test_limits_leave_room_for_the_corpus():

@@ -1,4 +1,4 @@
-"""Script parsing, expression evaluation, and static validation."""
+"""Script parsing, expression evaluation, and the checks made as lines are read."""
 from __future__ import annotations
 
 import sys
@@ -299,6 +299,19 @@ def test_rendered_trees_parse_back_and_evaluate_as_python(tree, a, b, data):
         ("GLOBAL x 0\nTHREAD \u00b2\n", "line 2: THREAD sections must be numbered"),
         ("GLOBAL x 0\nTHREAD 0\nREL \u00b2 1\n", "line 3: usage: REL"),
         ("GLOBAL x 0\nTHREAD 0\nACQSET \u00b2:1\n", "line 3: expected integers"),
+        # A local is bound in its own thread only.
+        (
+            "GLOBAL x 0\nTHREAD 0\nREAD x r\nTHREAD 1\nWRITE x r + 1\n",
+            "line 5: thread 1 computes with 'r', which is not a value local",
+        ),
+        (
+            "GLOBAL x 0\nTHREAD 0\nALLOC p\nTHREAD 1\nWRITE p 1\n",
+            "line 5: thread 1 touches 'p', which is neither a global nor an allocated cell",
+        ),
+        # A check runs at its own line, before a later line is read; a
+        # partner thread not yet declared waits for the whole script.
+        ("GLOBAL x 0\nTHREAD 0\nREL 0 1\nFROB\n", "line 3: thread 0 syncs with itself"),
+        ("GLOBAL x 0\nTHREAD 0\nREL 3 1\nFROB\n", "line 4: unknown operation 'FROB'"),
     ],
 )
 def test_malformed_scripts_are_rejected(text, needle):
@@ -333,6 +346,14 @@ def test_script_errors_carry_line_numbers():
         ("REL 0 1", "syncs with itself"),
         ("ACQ 1 -1", "usage: ACQ"),
         ("RELSET 1:0", "bad partner seq"),
+        # Each names the line of the operation it rejects.
+        ("READ x r\nREL 0 1", "line 4: thread 0 syncs with itself"),
+        ("READ x r\nRELSET 1:1,1:1", "line 4: thread 0 names duplicate partners"),
+        ("READ x r\nACQSET 1:2,1:0", "line 4: bad partner seq 0"),
+        ("READ x r\nREAD nope s", "line 4: thread 0 touches 'nope', which is neither"),
+        ("ALLOC p\nREAD x r\nWRITE x r + p", "line 5: thread 0 computes with 'p', which is not"),
+        ("READ x r\nREAD r s", "line 4: thread 0 touches 'r', which is neither"),
+        ("READ x r\nREL 2 1", "line 4: thread 0 names unknown thread 2"),
     ],
 )
 def test_static_validation_rejects_misuse(body, needle):
