@@ -294,8 +294,9 @@ class OrderedRegion:
     Creation is collective: every member labels the same chain of handoff
     channels from the schedule and keeps its own handoffs, which it runs
     as it enters and leaves its sections. Skipping an owned section
-    leaves its successor's channel forever empty, which the deadlock
-    detector reports.
+    leaves its successor's channel forever empty. If the rank enters no
+    later section, the deadlock detector reports that; if it does, its
+    next handoff is out of step with the plan, a drift ConfigError.
     """
 
     def __init__(self, ctx: "ThreadCtx", schedule: StaticSchedule) -> None:

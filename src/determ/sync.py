@@ -15,11 +15,13 @@ sorted, so it does not depend on who arrived last.
 
 Deadlock is decided at quiescence, as the model decides it at a state
 with no runnable step. A thread is blocked while its acquire still lacks
-a named release and has no fault pending. Once every live registered
-thread is blocked, none can ever be served: all of them are doomed at
-once, and each raises DeadlockError carrying the doomed set. Live and
-running threads are counted as they register, block, wake and finish,
-so the test costs O(1) per event.
+a named release and has no fault pending. A live thread is idle while it
+is blocked, lends its OS thread to a child (below) or waits in
+``wait_unwound``. Once every live registered thread is idle, no blocked
+one can ever be served: all of them are doomed at once, and each raises
+DeadlockError carrying the doomed set. Nothing is counted: quiescence is
+read off the registry's own maps whenever a thread becomes idle or done,
+and the test costs O(1) unless every live thread is in a wait.
 
 Each blocked acquire sleeps on a slot of its own, a condition on the
 registry lock. A deposit wakes only the acquires it fills, a fault only
@@ -36,11 +38,11 @@ naming it faults the same way.
 A claim is posted before it is waited for. A waiter whose claim names
 the terminal release of a child not launched yet can then lend that
 child its own OS thread: the child runs inside the claim, with the lock
-released, while the waiter counts as blocked, and as not running until
-the child is done even if its wait ends first. The waiter cannot go on
-before the child ends anyway, so this changes which OS thread runs the
-child and nothing else. The registry lends; the runtime decides which
-child, if any, a claim is lent to.
+released, while the waiter counts as idle until the child is done, even
+if its wait ends first. The waiter cannot go on before the child ends
+anyway, so this changes which OS thread runs the child and nothing
+else. The registry lends; the runtime decides which child, if any, a
+claim is lent to.
 """
 from __future__ import annotations
 
@@ -73,10 +75,9 @@ class SyncLabel(NamedTuple):
 
 class _Waiter:
     """One claim in the wait loop: what it waits for, the slot it sleeps
-    on, the fault or doom its wait ends with, once recorded, and whether
-    its thread is lending its OS thread meanwhile."""
+    on, and the fault or doom its wait ends with, once recorded."""
 
-    __slots__ = ("acq", "named", "missing", "slot", "fault", "lending")
+    __slots__ = ("acq", "named", "missing", "slot", "fault")
 
     def __init__(
         self,
@@ -90,7 +91,6 @@ class _Waiter:
         self.missing = missing
         self.slot = slot
         self.fault: DetermError | None = None
-        self.lending = False
 
 
 class ChannelRegistry:
@@ -105,9 +105,6 @@ class ChannelRegistry:
         self._cond = threading.Condition()
         # Registered, not yet done; a tid that leaves it is done.
         self._live: set[int] = set()
-        # Waiting tids that lack a named release and have no pending fault.
-        self._blocked: set[int] = set()
-        self._running = 0  # live tids not in _blocked
         self._doomed: set[int] = set()
         # acquire label -> {release label -> diff} awaiting that acquire
         self._targeted: dict[SyncLabel, dict[SyncLabel, Diff]] = {}
@@ -123,6 +120,8 @@ class ChannelRegistry:
         self._naming: dict[SyncLabel, list[int]] = {}
         # tid run on a waiter's OS thread -> that waiter's tid
         self._lenders: dict[int, int] = {}
+        # tids in ``wait_unwound``
+        self._unwinding: set[int] = set()
         self._violations: list[PairingError] = []
 
     # ------------------------------------------------------------------
@@ -131,18 +130,13 @@ class ChannelRegistry:
 
     def register(self, tid: int) -> None:
         with self._cond._lock:  # type: ignore[attr-defined]
-            if tid not in self._live:
-                self._live.add(tid)
-                if tid not in self._blocked:
-                    self._running += 1
+            self._live.add(tid)
 
     def mark_done(self, tid: int) -> None:
         with self._cond:
             if tid in self._live:
                 self._live.remove(tid)
-                if tid not in self._blocked:
-                    self._running -= 1
-                self._return(tid)
+                self._lenders.pop(tid, None)  # its lender stays idle only if blocked
                 self._doom_if_quiescent()
             self._cond.notify_all()
 
@@ -155,23 +149,20 @@ class ChannelRegistry:
         unwinding and may not have recorded its error yet, so anyone about
         to read per-thread errors must wait for done. A tid never
         registered counts as done, so wait only on launched ones.
-        ``waiter``, the caller's own tid, does not count as running
-        meanwhile, so a thread it waits for that blocks again can still
-        be doomed.
+        ``waiter``, the caller's own tid, is idle meanwhile, so a thread
+        it waits for that blocks again can still be doomed.
         """
         wanted = tuple(tids)
         with self._cond:
-            paused = waiter in self._live and waiter not in self._blocked
-            if paused:
-                self._running -= 1
+            if waiter is not None:
+                self._unwinding.add(waiter)
                 self._doom_if_quiescent()
             try:
                 return self._cond.wait_for(
                     lambda: self._live.isdisjoint(wanted), timeout=timeout
                 )
             finally:
-                if paused:
-                    self._running += 1
+                self._unwinding.discard(waiter)
 
     def wait_all_done(self, timeout: float | None = None) -> bool:
         """Block until every registered thread is done; True if so."""
@@ -207,7 +198,7 @@ class ChannelRegistry:
             if terminal:
                 self._floating[rel] = diff
                 for tid in self._naming.get(rel, ()):
-                    self._fill(tid, self._waiting[tid], rel)
+                    self._fill(self._waiting[tid], rel)
             else:
                 self._aim(rel, targets)
             for target in targets:
@@ -224,7 +215,7 @@ class ChannelRegistry:
                     self._fault_waiter(target.thread, "acquire", target, claimants)
                 self._targeted.setdefault(target, {})[rel] = diff
                 if waiter is not None and rel in waiter.missing:
-                    self._fill(target.thread, waiter, rel)
+                    self._fill(waiter, rel)
 
     def claim(
         self,
@@ -240,8 +231,8 @@ class ChannelRegistry:
         the releases it names and, if one is missing, entered in the wait
         loop. Then, if a release is missing and ``lend`` is (child, run),
         ``run`` runs live thread ``child`` to its end on the calling OS
-        thread, with the lock released; ``acq.thread`` does not count as
-        running until ``child`` is done, even once its wait has ended.
+        thread, with the lock released; ``acq.thread`` counts as idle
+        until ``child`` is done, even once its wait has ended.
         Then the claim waits as usual."""
         named = frozenset(rels)
         with self._cond._lock:  # type: ignore[attr-defined]
@@ -260,16 +251,11 @@ class ChannelRegistry:
                     missing.add(rel)
             if missing:
                 self._wait(_Waiter(acq, named, missing, self._slot()), lend)
-            out: dict[SyncLabel, Diff] = {}
-            pending = self._targeted.get(acq, {})
-            for rel in named:
-                if rel in pending:
-                    out[rel] = pending.pop(rel)
-                else:
-                    out[rel] = self._floating.pop(rel)
-                    self._aim(rel, (acq,))
-            if acq in self._targeted and not self._targeted[acq]:
-                del self._targeted[acq]
+            # Every deposit aimed at ``acq`` is named, or the claim faulted.
+            out = self._targeted.pop(acq, {})
+            for rel in named.difference(out):
+                out[rel] = self._floating.pop(rel)
+                self._aim(rel, (acq,))
             return out
 
     # ------------------------------------------------------------------
@@ -321,20 +307,16 @@ class ChannelRegistry:
         timed_out = False
         try:
             if lend is not None:
-                self._lend(tid, waiter, *lend)
-            while True:
-                if waiter.fault is not None:
-                    raise waiter.fault
-                if not waiter.missing:
-                    return
-                if tid not in self._blocked:
-                    self._block(tid)
-                elif not waiter.slot.wait(timeout=_WAIT_TIMEOUT):
+                self._lend(tid, *lend)
+            self._doom_if_quiescent()
+            while waiter.fault is None and waiter.missing:
+                if not waiter.slot.wait(timeout=_WAIT_TIMEOUT):
                     if timed_out:  # pragma: no cover - runtime bug guard
                         raise RuntimeError(f"thread {tid} stuck acquiring {waiter.acq}")
                     timed_out = True
+            if waiter.fault is not None:
+                raise waiter.fault
         finally:
-            self._wake(tid)
             del self._waiting[tid]
             for rel in waiter.named:
                 naming = self._naming[rel]
@@ -342,64 +324,43 @@ class ChannelRegistry:
                 if not naming:
                     del self._naming[rel]
 
-    def _lend(self, tid: int, waiter: _Waiter, child: int, run: Callable[[], None]) -> None:
+    def _lend(self, tid: int, child: int, run: Callable[[], None]) -> None:
         """Call ``run``, which runs ``child`` to its end, with the lock
-        released and ``tid`` blocked on ``waiter``. Until ``child`` is
-        done, ``tid`` cannot run, whatever ends its wait: ``_wake`` leaves
-        a lending thread out of the running count, and ``_return`` counts
-        it back in, in the same step that counts ``child`` out."""
-        waiter.lending = True
+        released. Until ``child`` is done, ``tid`` is idle as its lender,
+        whatever ends its wait. Lending needs no doom check: ``child`` is
+        live and runs."""
         self._lenders[child] = tid
-        self._block(tid)
         lock = self._cond._lock  # type: ignore[attr-defined]
         lock.release()
         try:
             run()
         finally:
             lock.acquire()
-            self._return(child)  # if ``run`` left it live
+            self._lenders.pop(child, None)  # if ``run`` left it live
 
-    def _return(self, child: int) -> None:
-        """Hand the OS thread of ``child``, now done, back to the thread
-        that lent it, if any, which counts as running again unless its
-        wait still blocks it."""
-        tid = self._lenders.pop(child, None)
-        if tid is not None:
-            self._waiting[tid].lending = False
-            if tid not in self._blocked and tid in self._live:
-                self._running += 1
-
-    def _block(self, tid: int) -> None:
-        """``tid`` can go no further; at quiescence every blocked thread
-        is doomed."""
-        self._blocked.add(tid)
-        if tid in self._live:
-            self._running -= 1
-        self._doom_if_quiescent()
-
-    def _wake(self, tid: int) -> None:
-        """Move a blocked ``tid`` back to running and wake its slot."""
-        if tid in self._blocked:
-            self._blocked.remove(tid)
-            waiter = self._waiting[tid]
-            if tid in self._live and not waiter.lending:
-                self._running += 1
-            waiter.slot.notify()
-
-    def _fill(self, tid: int, waiter: _Waiter, rel: SyncLabel) -> None:
+    def _fill(self, waiter: _Waiter, rel: SyncLabel) -> None:
         waiter.missing.discard(rel)
         if not waiter.missing:
-            self._wake(tid)
+            waiter.slot.notify()
 
     def _doom_if_quiescent(self) -> None:
-        """When no live thread can run, nothing blocked can ever be
-        served: doom every blocked thread, as the model does at a state
+        """When every live thread is idle, nothing blocked can ever be
+        served: doom every blocked waiter, as the model does at a state
         with no runnable step."""
-        if not self._running and self._blocked:
-            self._doomed |= self._blocked
-            for tid in tuple(self._blocked):
-                self._waiting[tid].fault = DeadlockError(tuple(self._doomed))
-                self._wake(tid)
+        # A lender is in a claim itself, so a live thread beyond these runs.
+        if len(self._live) > len(self._waiting) + len(self._unwinding):
+            return
+        lenders = self._lenders.values()
+        for tid in self._live:
+            waiter = self._waiting.get(tid)
+            if waiter is None or not waiter.missing or waiter.fault is not None:
+                if tid not in lenders and tid not in self._unwinding:
+                    return  # ``tid`` runs
+        blocked = {t: w for t, w in self._waiting.items() if w.missing and w.fault is None}
+        self._doomed.update(blocked)
+        for waiter in blocked.values():
+            waiter.fault = DeadlockError(tuple(self._doomed))
+            waiter.slot.notify()
 
     def _fault_waiter(
         self, tid: int, kind: str, contested: Any, claimants: tuple
@@ -409,7 +370,7 @@ class ChannelRegistry:
         waiter = self._waiting[tid]
         if waiter.fault is None:
             waiter.fault = self._record(kind, contested, claimants)
-            self._wake(tid)
+            waiter.slot.notify()
 
     def _aim(self, rel: SyncLabel, targets: tuple[SyncLabel, ...]) -> None:
         """Fix the acquires ``rel`` is aimed at, as its deposit or its

@@ -446,11 +446,21 @@ def test_a_crossed_team_is_reported_when_the_root_joins(pause):
     rt.finish()
 
 
-def test_threads_that_go_on_after_a_deadlock_can_deadlock_again():
+@pytest.mark.parametrize(
+    "run_team",
+    [
+        lambda root, bodies: root.fork_join(bodies),
+        lambda root, bodies: root.join(root.fork(bodies)),
+    ],
+    ids=["fork_join", "join_fork"],
+)
+def test_threads_that_go_on_after_a_deadlock_can_deadlock_again(run_team):
     # Members catch their doom and block again while the root waits for
     # them to unwind; then the root runs a second such team. Each verdict
     # dooms every thread blocked at that point, and the payload lists
-    # every thread doomed so far.
+    # every thread doomed so far. Under ``fork_join`` the root lends its
+    # OS thread to the last member; after a plain ``fork`` it lends none,
+    # so only its wait for the members to unwind leaves it idle.
     rt = Runtime()
     root = rt.root()
 
@@ -463,7 +473,7 @@ def test_threads_that_go_on_after_a_deadlock_can_deadlock_again():
 
     for members, doomed in (((1, 2), (0, 1, 2)), ((3, 4), (0, 1, 2, 3, 4))):
         with pytest.raises(DeadlockError) as info:
-            root.fork_join([body, body])
+            run_team(root, [body, body])
         assert info.value.blocked == doomed
         assert [rt.errors[t].blocked for t in members] == [doomed, doomed]
     rt.finish()
@@ -1074,6 +1084,32 @@ def test_skipping_an_owned_section_surfaces_as_deadlock():
 
     with pytest.raises(DeadlockError):
         rt.root().fork_join([body, body])
+    rt.finish()
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_skipping_an_owned_section_before_a_later_one_surfaces_as_drift(seed):
+    # Rank 0 skips section 0 and its exit release, so its entry acquire
+    # for section 2 comes one seq early; rank 1 waits for section 0's
+    # handoff until it is doomed.
+    rt = Runtime(seed=seed, delay=0.0005)
+
+    def body(ctx):
+        region = ctx.ordered_region(StaticSchedule(4, chunk=1))
+        for i in region.my_iterations():
+            if ctx.rank == 0 and i == 0:
+                continue
+            with region.section(i):
+                pass
+
+    drift = "synchronization drift in ordered region: planned (1,3), next actual seq 2"
+    with pytest.raises(ConfigError) as info:
+        rt.root().fork_join([body, body])
+    assert str(info.value) == drift
+    assert {t: str(err) for t, err in rt.errors.items()} == {
+        1: drift,
+        2: "deadlock among threads [0, 2]",
+    }
     rt.finish()
 
 
