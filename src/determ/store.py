@@ -60,10 +60,33 @@ address stays gone. Cells still carrying the initial stamp would be the
 other exception, but workspaces that exchange diffs belong to one
 program: each is seeded with the program's globals, or empty until its
 first ``apply_diff`` adopts a whole diff. So every receiver that is not
-empty already holds every initial cell a diff can carry, and the store
-reads a whole cell map in two places only: the copy a release takes,
-and an empty receiver's copy of a diff. A terminal release takes none:
-its workspace takes no further op, so it hands its own maps over.
+empty already holds every initial cell a diff can carry, and of all
+receivers only an empty one reads a whole shipped map, by copying it.
+
+A release ships the whole cell map, but a wide one costs what changed.
+A workspace of fewer than ``_PATCH_MIN`` cells copies its map at each
+release, in C. A wider one keeps the map its last full release shipped
+as its *snapshot*, with that release's knowledge. While the writes it
+has learned of since number at most 1/``_PATCH_SHARE`` of the
+snapshot's cells, a release ships the snapshot plus a *patch*: for each
+live writer the workspace knows further than the snapshot did, the
+cells of its index bucket newer than the snapshot's counter for it. An
+empty patch ships the snapshot alone. Otherwise a release copies the
+map and keeps the copy as its new snapshot. A fresh receiver of a wide
+plain diff that is not terminal keeps the shipped map as its own
+snapshot, with the diff's knowledge, so its first release can already
+be a patch. A terminal release copies nothing: its workspace takes no
+further op, so it hands its own maps over.
+
+The patch is exact. A cell changes in two ways only: a write or an
+alloc, which mints a new seq for the owner, or a merge adoption, which
+takes a stamp the workspace lacked. Either way the changed cell carries
+a stamp newer than the snapshot's knowledge of its writer, and the index
+holds exactly the cells that live writers stamped. So a changed cell
+can be missed only if it leaves the index unseen, and that happens in
+two ways only: its writer retires here (``_forget_live``, which
+``_absorb`` calls), or ``drop`` removes it. Both discard the snapshot,
+and so does ``extract_terminal``.
 
 The index changes only when a cell changes writer, so a thread
 overwriting its own cells, or adopting a newer write by a cell's last
@@ -87,7 +110,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataRaceError, UnallocatedError
 
@@ -96,6 +119,13 @@ ROOT_THREAD = 0
 
 # Writer id reserved for the initial program state.
 _INITIAL_WRITER = -1
+
+# A workspace of at least _PATCH_MIN cells ships a release as its last
+# snapshot plus a patch while the writes it learned of since that
+# snapshot number at most 1/_PATCH_SHARE of its cells; see the module
+# docstring.
+_PATCH_MIN = 256
+_PATCH_SHARE = 8
 
 
 class Address(NamedTuple):
@@ -232,7 +262,10 @@ class Diff(NamedTuple):
 
     ``writes`` holds the sender's full latest-write map, one entry per
     address it knows (cells still carrying the initial stamp included, so
-    a fresh receiver learns the whole picture). ``sender_knowledge`` is a
+    a fresh receiver learns the whole picture): a plain dict, or for a
+    wide release a read-only ``_Patched`` view of the sender's snapshot
+    with the cells changed since over it, which reads as the same full
+    map; see the module docstring. ``sender_knowledge`` is a
     copy of the sender's counters for the writers it has not seen retire,
     and ``summary`` the sender's summary of those it has.
 
@@ -246,10 +279,41 @@ class Diff(NamedTuple):
     """
 
     sender_knowledge: dict[int, int]
-    writes: dict[Address, Cell]
+    writes: Mapping[Address, Cell]
     index: CellIndex = {}
     summary: Summary = {}
     terminal: int | None = None
+
+
+class _Patched(Mapping):
+    """A wide release's full cell map, read-only: ``patch``, the cells
+    the sender changed since its snapshot ``base``, over ``base``.
+    Neither is ever changed. A whole-map read (``copy()``, ``items()``,
+    iteration) builds the map with one copy in C."""
+
+    __slots__ = ("base", "patch")
+
+    def __init__(self, base: dict[Address, Cell], patch: dict[Address, Cell]) -> None:
+        self.base, self.patch = base, patch
+
+    def __getitem__(self, addr: Address) -> Cell:
+        cell = self.patch.get(addr)
+        return self.base[addr] if cell is None else cell
+
+    def __len__(self) -> int:
+        base = self.base
+        return len(base) + sum(addr not in base for addr in self.patch)
+
+    def __iter__(self) -> Iterator[Address]:
+        return iter(self.copy())
+
+    def items(self):
+        return self.copy().items()
+
+    def copy(self) -> dict[Address, Cell]:
+        full = self.base.copy()
+        full.update(self.patch)
+        return full
 
 
 def global_addresses(names: Iterable[str]) -> dict[str, Address]:
@@ -272,6 +336,14 @@ class Workspace:
     ``apply_diff`` adopts a whole diff, and all share the program's
     ``record``. A workspace given none gets a record of its own.
     """
+
+    # The map the last full release shipped (never changed once shipped),
+    # that release's knowledge and the sum of its counters; see the module
+    # docstring. Class defaults: a workspace under _PATCH_MIN cells keeps
+    # no snapshot and pays nothing for one.
+    _snap: dict[Address, Cell] | None = None
+    _snap_known: dict[int, int] = {}
+    _snap_sum = 0
 
     def __init__(
         self,
@@ -368,6 +440,7 @@ class Workspace:
             cell = cells.get(addr)
             if cell is not None and self._record.retired(summary, cell[0][0]):
                 del cells[addr]  # a retired writer's cell is not indexed
+                self._snap = None  # a patch cannot ship a removal
 
     # ------------------------------------------------------------------
     # per-writer index
@@ -396,7 +469,10 @@ class Workspace:
             self._bucket(writer).difference_update(addrs)
 
     def _forget_live(self, writers: Iterable[int]) -> None:
-        """Remove the counters and buckets of writers that just retired."""
+        """Remove the counters and buckets of writers that just retired.
+        Their cells leave the index, so a patch would miss them: the
+        snapshot goes too."""
+        self._snap = None
         live = self._live
         for writer in writers:
             live.pop(writer, None)
@@ -409,9 +485,27 @@ class Workspace:
     # ------------------------------------------------------------------
 
     def extract_diff(self) -> Diff:
-        """Snapshot everything this workspace knows, for a release."""
-        index, self._index, self._private = self._index, dict(self._index), {}
-        return Diff(dict(self._live), dict(self.cells), index, self._summary)
+        """Snapshot everything this workspace knows, for a release: a
+        copy of the cell map, or for a wide map the last snapshot plus
+        the cells stamped since; see the module docstring."""
+        index, self._index, self._private = self._index, self._index.copy(), {}
+        live, cells = self._live.copy(), self.cells
+        if len(cells) < _PATCH_MIN:
+            return Diff(live, cells.copy(), index, self._summary)
+        snap, total = self._snap, sum(live.values())
+        if snap is not None and (total - self._snap_sum) * _PATCH_SHARE <= len(snap):
+            known = self._snap_known
+            patch = {}
+            for writer, top in live.items():
+                have = known.get(writer, 0)
+                if top > have:
+                    for addr in index.get(writer, ()):
+                        cell = cells[addr]
+                        if cell[0][1] > have:
+                            patch[addr] = cell
+            return Diff(live, _Patched(snap, patch) if patch else snap, index, self._summary)
+        self._snap, self._snap_known, self._snap_sum = cells.copy(), live, total
+        return Diff(live, self._snap, index, self._summary)
 
     def extract_terminal(self) -> Diff:
         """The diff of the owner's terminal release: everything this
@@ -419,6 +513,7 @@ class Workspace:
         takes no further op. The workspace is left empty, not shared."""
         diff = Diff(self._live, self.cells, self._index, self._summary, self.owner)
         self._live, self.cells, self._index, self._summary, self._private = {}, {}, {}, {}, {}
+        self._snap = None
         return diff
 
     def apply_diff(self, diff: Diff) -> None:
@@ -432,15 +527,19 @@ class Workspace:
         address, so a DataRaceError payload is identical no matter which
         schedule produced it. On conflict the workspace is left untouched.
         A fresh receiver has nothing to defend and adopts the diff's cells
-        by copy.
+        by copy; a wide plain diff it keeps as its snapshot.
         """
         if self.cells or self._live or self._summary:
             self._merge(diff)
         else:  # fresh: share all it can
-            self.cells = dict(diff.writes)
-            self._index = dict(diff.index)
+            writes, known = diff.writes, diff.sender_knowledge
+            self.cells = writes.copy()
+            # The snapshot a terminal diff gives, _absorb discards below.
+            if type(writes) is dict and len(writes) >= _PATCH_MIN:
+                self._snap, self._snap_known, self._snap_sum = writes, known, sum(known.values())
+            self._index = diff.index.copy()
             self._private = {}
-            self._live = dict(diff.sender_knowledge)
+            self._live = known.copy()
             self._summary = diff.summary
         if diff.terminal is not None:
             self._absorb(diff)
@@ -527,7 +626,8 @@ class Workspace:
             for old, addrs in leaving.items():
                 self._unindex(old, addrs)
         mine.update(ahead)
-        self._forget_live(newly)
+        if newly:
+            self._forget_live(newly)
         self._summary = learned
 
     def _absorb(self, diff: Diff) -> None:
@@ -608,3 +708,14 @@ class Workspace:
             else:
                 written += 1
         assert written == indexed, "written cells missing from the index"
+        # A snapshot plus the cells its live writers stamped since is the
+        # cell map.
+        snap, known = self._snap, self._snap_known
+        if snap is not None:
+            assert snap.keys() <= self.cells.keys(), "snapshot holds a dropped cell"
+            for addr, cell in self.cells.items():
+                writer, seq = cell[0]
+                if addr not in snap or snap[addr][0] != cell[0]:
+                    assert writer in self._live and seq > known.get(writer, 0), (
+                        f"cell {addr} changed unseen since the snapshot"
+                    )

@@ -20,8 +20,11 @@ is blocked, lends its OS thread to a child (below) or waits in
 ``wait_unwound``. Once every live registered thread is idle, no blocked
 one can ever be served: all of them are doomed at once, and each raises
 DeadlockError carrying the doomed set. Nothing is counted: quiescence is
-read off the registry's own maps whenever a thread becomes idle or done,
-and the test costs O(1) unless every live thread is in a wait.
+read off the registry's own maps whenever a thread becomes idle or done.
+A length test settles it at once only while fewer threads wait than
+live; but a satisfied waiter stays in its wait until its OS thread runs,
+so under the GIL every live thread is usually in one, and the common
+case walks the live threads up to the first that runs.
 
 Each blocked acquire sleeps on a slot of its own, a condition on the
 registry lock. A deposit wakes only the acquires it fills, a fault only

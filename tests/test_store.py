@@ -26,6 +26,8 @@ from determ.store import (
     Record,
     VersionStamp,
     Workspace,
+    _Patched,
+    _PATCH_MIN,
     covers,
     global_addresses,
 )
@@ -492,6 +494,113 @@ def test_diff_index_is_never_changed_after_release():
 
 
 # ----------------------------------------------------------------------
+# wide releases: the last snapshot plus a patch
+# ----------------------------------------------------------------------
+
+
+def test_a_patched_diff_reads_as_its_full_map():
+    names = {f"g{i:03d}": 0 for i in range(300)}
+    table = global_addresses(names)
+    a = Workspace(1, names, names=table)
+    first = a.extract_diff()  # a full copy, kept as the snapshot
+    assert type(first.writes) is dict and a.extract_diff().writes is first.writes
+    a.write(table["g007"], 7)
+    new = a.alloc(8)
+    second = a.extract_diff()
+    assert type(second.writes) is _Patched and second.writes.base is first.writes
+    full = dict(a.cells)
+    assert len(second.writes) == len(full) == 301
+    assert dict(second.writes) == second.writes.copy() == full == second.writes
+    assert sorted(second.writes) == sorted(full)
+    assert dict(second.writes.items()) == full
+    assert second.writes[new].value == 8 and second.writes.get(Address(1, 99)) is None
+    assert first.writes[table["g007"]].value == 0  # the snapshot is never changed
+    fresh = Workspace(2)
+    fresh.apply_diff(second)
+    assert fresh.cells == full and fresh._snap is None
+    fresh.check_invariants()
+
+
+def test_a_drop_after_a_wide_release_reaches_no_receiver():
+    # The second release's snapshot holds the child's cell; once the root
+    # drops it, no later release may ship it.
+    names = {f"g{i:03d}": 0 for i in range(300)}
+    table = global_addresses(names)
+    record = Record()
+    root = Workspace(ROOT_THREAD, names, names=table, record=record)
+    child = Workspace(1, record=record)
+    child.apply_diff(root.extract_diff())
+    cell = child.alloc(5)
+    root.apply_diff(child.extract_terminal())
+    assert cell in root.extract_diff().writes
+    root.drop([cell])
+    root.write(table["g000"], 1)
+    last = root.extract_diff()
+    fresh = Workspace(2, record=record)
+    fresh.apply_diff(last)
+    assert cell not in fresh.cells and fresh.read(table["g000"]) == 1
+    root.check_invariants()
+    fresh.check_invariants()
+
+
+def _barrier_rounds(monkeypatch, width, rounds=6):
+    """Four members over ``width`` globals; in round r each writes one
+    cell, computed from a cell another member wrote in round r - 1 (in
+    round 0, from an initial one). Returns the log of
+    releases, (owner, round, writes stamped since the snapshot, the
+    shipped map), and whether the final cells match a sequential run."""
+    names = [f"g{i:05d}" for i in range(width)]
+    src = lambda r, k: 4 * r + ((k + 1) % 4 if r else k)
+    dst = lambda r, k: 4 * (r + 1) + k
+    log, at = [], {}
+    extract = Workspace.extract_diff
+
+    def logged(ws):
+        stamped = sum(ws._live.values()) - ws._snap_sum
+        diff = extract(ws)
+        log.append((ws.owner, at.get(ws.owner), stamped, diff.writes))
+        return diff
+
+    monkeypatch.setattr(Workspace, "extract_diff", logged)
+
+    def member(ctx):
+        for r in range(rounds):
+            at[ctx.tid] = r
+            ctx.write(names[dst(r, ctx.rank)], ctx.read(names[src(r, ctx.rank)]) * 3 + ctx.rank)
+            ctx.barrier()
+
+    rt = Runtime(dict(zip(names, range(width))))
+    root = rt.root()
+    root.fork_join([member] * 4)
+    state = list(range(width))
+    for r in range(rounds):
+        got = [state[src(r, k)] * 3 + k for k in range(4)]
+        for k in range(4):
+            state[dst(r, k)] = got[k]
+    final = [root.read(name) for name in names]
+    rt.finish()
+    return log, final == state
+
+
+@pytest.mark.parametrize("width", [97, 10_000])
+def test_a_barrier_releases_what_changed(monkeypatch, width):
+    # From the second round on, every member release of the wide map is a
+    # patch of no more cells than were stamped since its snapshot; a map
+    # under the floor ships plain copies.
+    log, agrees = _barrier_rounds(monkeypatch, width)
+    assert agrees
+    if width < _PATCH_MIN:
+        assert log and all(type(writes) is dict for _, _, _, writes in log)
+        return
+    members = {owner for owner, r, _, _ in log if r is not None}
+    later = [(owner, r, stamped, writes) for owner, r, stamped, writes in log if r]
+    assert len(members) == 4
+    assert {(owner, r) for owner, r, _, _ in later} == {(o, r) for o in members for r in range(1, 6)}
+    assert all(type(writes) is _Patched for _, _, _, writes in later)
+    assert all(len(writes.patch) <= stamped for _, _, stamped, writes in later)
+
+
+# ----------------------------------------------------------------------
 # agreement with an explicit event-set model
 # ----------------------------------------------------------------------
 
@@ -571,7 +680,8 @@ class SetWorkspace:
         return None
 
 
-def test_event_set_model_agrees_on_random_histories():
+@pytest.mark.parametrize("width", [2, 300])
+def test_event_set_model_agrees_on_random_histories(width):
     # Some workspaces start empty, so their first acquire adopts a whole
     # diff, and writes land on any cell a workspace holds, including
     # cells other owners allocated, so dicts hold cells out of address
@@ -585,12 +695,15 @@ def test_event_set_model_agrees_on_random_histories():
     # stamped and that no other live owner holds, as a join drops its
     # members' accumulators (allocated cells, never globals). Every step checks the invariants, the
     # per-writer index and the retired writers among them, and every
-    # diff's index must still match its cells at the end.
+    # diff's index must still match its cells at the end. With 300
+    # globals every map is wide, so releases ship snapshots and patches,
+    # which fresh receivers adopt and keep and retirements discard.
     empty_adopts = foreign_writes = 0
     terminal_applies = passed_on = chained = drops = 0
+    patched_merges = patched_fresh = inherited = discarded = 0
     for seed in range(60):
         rng = random.Random(seed)
-        init = {"x": 0, "y": 0}
+        init = {f"g{i:03d}": 0 for i in range(width)}
         owners = [1, 2, 3, 4, 5, 6]
         starts = {t: init if rng.random() < 0.5 else {} for t in owners}
         record = Record()
@@ -645,6 +758,11 @@ def test_event_set_model_agrees_on_random_histories():
                 diff = real[t].extract_diff()._replace(terminal=t if terminal else None)
                 diffs.append(diff)
                 snapshot = mini[t].extract()
+                fresh = not real[target].cells
+                patched = type(diff.writes) is not dict
+                patched_merges += patched and not fresh
+                patched_fresh += patched and fresh
+                had = real[target]._snap is not None
                 try:
                     real[target].apply_diff(diff)
                 except DataRaceError as err:
@@ -655,6 +773,8 @@ def test_event_set_model_agrees_on_random_histories():
                 else:
                     real_pairs = None
                     terminal_applies += terminal
+                    inherited += fresh and real[target]._snap is diff.writes
+                    discarded += had and real[target]._snap is None
                     # a writer retired here only because its absorber is:
                     # the chained lookup
                     summary = real[target]._summary
@@ -684,3 +804,5 @@ def test_event_set_model_agrees_on_random_histories():
                 assert covers(real[t].knowledge, stamp) == mini[t].seen(stamp)
     assert empty_adopts > 0 and foreign_writes > 0
     assert terminal_applies > 0 and passed_on > 0 and chained > 0 and drops > 0
+    if width > 2:
+        assert patched_merges > 0 and patched_fresh > 0 and inherited > 0 and discarded > 0
