@@ -77,7 +77,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 from .errors import ConfigError, DeadlockError, UnallocatedError
 from .store import Address, Record, Workspace, global_addresses
-from .sync import TERMINAL_SEQ, ChannelRegistry, Endpoint, SyncLabel
+from .sync import TERMINAL_SEQ, ChannelRegistry, Endpoint, SyncLabel, trace_lines
 
 _JOIN_TIMEOUT = 60.0
 
@@ -387,7 +387,7 @@ os.register_at_fork(after_in_child=_WORKERS.__init__)
 
 
 class Runtime:
-    """Owns the registry, the store's record, tracing, and error collection."""
+    """Owns the registry, the store's record, the threads' event logs and errors."""
 
     def __init__(
         self,
@@ -404,7 +404,7 @@ class Runtime:
         self._lock = threading.Lock()
         self._seed = seed
         self._delay = delay
-        self._trace_lines: list[str] | None = [] if trace else None
+        self._logs: dict[int, list] | None = {} if trace else None
         self.errors: dict[int, BaseException] = {}
         # Tasks that team members spawned and have not waited for, which
         # their team's join checks; a task's spawner is tid // _CHILDREN.
@@ -414,11 +414,6 @@ class Runtime:
         self._finished = False
 
     # -- plumbing ------------------------------------------------------
-
-    def _record_trace(self, line: str) -> None:
-        with self._lock:
-            if self._trace_lines is not None:
-                self._trace_lines.append(line)
 
     def _record_error(self, tid: int, err: BaseException) -> None:
         with self._lock:
@@ -463,8 +458,9 @@ class Runtime:
 
     @property
     def trace(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._trace_lines or ())
+        """Each thread's ``trace_lines``, by ascending tid: no schedule decides it."""
+        logs = self._logs or {}
+        return tuple(line for tid in sorted(logs) for line in trace_lines(tid, logs[tid]))
 
     def finish(self) -> None:
         """Declare the root thread done and wait until every launched
@@ -510,8 +506,8 @@ class ThreadCtx:
         # Runs before each data op, as ``ep.hook`` before each sync event:
         # the perturbation, or ``_launch_held`` while a child is held.
         self._hook = self._perturb
-        recorder = rt._record_trace if rt._trace_lines is not None else None
-        self.ep = Endpoint(rt.registry, tid, hook=self._perturb, recorder=recorder)
+        log = None if rt._logs is None else rt._logs.setdefault(tid, [])
+        self.ep = Endpoint(rt.registry, tid, hook=self._perturb, log=log)
         # The started child not launched yet, with its main, if any.
         self._held: tuple[ThreadCtx, Callable[[ThreadCtx], Any]] | None = None
         # Whether this thread ran on its waiter's OS thread: tells the

@@ -406,9 +406,9 @@ class Endpoint:
 
     ``hook`` runs before every sync operation (schedule perturbation for
     determinism trials); its owner may swap it, as a ``ThreadCtx`` does
-    while it holds a child. ``recorder`` receives one trace line per
-    (event, partner) pair in the format
-    ``EVT <thread> <seq> REL|ACQ <partner-thread> <partner-seq>``.
+    while it holds a child. ``log``, if a list, gets one ``(seq, "REL" |
+    "ACQ", partners)`` tuple per event, appended by this thread alone;
+    an acquire's partners ascend, a terminal release has none.
     """
 
     def __init__(
@@ -416,26 +416,17 @@ class Endpoint:
         registry: ChannelRegistry,
         thread: int,
         hook: Callable[[], None] | None = None,
-        recorder: Callable[[str], None] | None = None,
+        log: list | None = None,
     ) -> None:
         self.registry = registry
         self.thread = thread
         self.seq = 0
         self.hook = hook
-        self._recorder = recorder
+        self.log = log
 
     def next_seq(self) -> int:
         """Seq the next sync event will carry; planned steps are checked against it."""
         return self.seq + 1
-
-    def _advance(self) -> SyncLabel:
-        self.seq += 1
-        return SyncLabel(self.thread, self.seq)
-
-    def _trace(self, label: SyncLabel, kind: str, partner: SyncLabel | None) -> None:
-        if self._recorder is not None:
-            pt, ps = (partner.thread, partner.seq) if partner else (-1, -1)
-            self._recorder(f"EVT {label.thread} {label.seq} {kind} {pt} {ps}")
 
     # ------------------------------------------------------------------
 
@@ -448,10 +439,11 @@ class Endpoint:
         targets = _validate_partners(partners, min_seq=1)
         if self.hook is not None:
             self.hook()
-        label = self._advance()
+        self.seq += 1
+        label = SyncLabel(self.thread, self.seq)
         diff = ws.extract_diff()
-        for target in targets:
-            self._trace(label, "REL", target)
+        if self.log is not None:
+            self.log.append((self.seq, "REL", targets))
         self.registry.deposit(label, targets, diff)
         return label
 
@@ -471,10 +463,12 @@ class Endpoint:
         named = _validate_partners(partners, min_seq=TERMINAL_SEQ)
         if self.hook is not None:
             self.hook()
-        label = self._advance()
+        self.seq += 1
+        label = SyncLabel(self.thread, self.seq)
         diffs = self.registry.claim(label, named, lend)
+        if self.log is not None:
+            self.log.append((self.seq, "ACQ", tuple(sorted(named))))
         for rel in sorted(named):
-            self._trace(label, "ACQ", rel)
             ws.apply_diff(diffs[rel])
         return label
 
@@ -486,6 +480,16 @@ class Endpoint:
         if self.hook is not None:
             self.hook()
         label = SyncLabel(self.thread, TERMINAL_SEQ)
-        self._trace(label, "REL", None)
+        if self.log is not None:
+            self.log.append((TERMINAL_SEQ, "REL", ()))
         self.registry.deposit(label, (), ws.extract_terminal())
         return label
+
+
+def trace_lines(thread: int, log: Iterable[tuple[int, str, Sequence[SyncLabel]]]) -> list[str]:
+    """The log as ``EVT <thread> <seq> REL|ACQ <pt> <ps>`` per partner, ``-1 -1`` if none."""
+    return [
+        f"EVT {thread} {seq} {kind} {pt} {ps}"
+        for seq, kind, partners in log
+        for pt, ps in partners or ((-1, -1),)
+    ]

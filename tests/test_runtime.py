@@ -14,10 +14,12 @@ import collections
 import gc
 import hashlib
 import itertools
+import math
 import operator
 import os
 import random
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -1142,16 +1144,21 @@ def test_drift_inside_an_ordered_region_is_reported_by_both_members(seed):
 
 
 def test_parallel_for_visits_exactly_the_owned_iterations():
+    # Blocks of 2 dealt cyclically to 3 ranks: ranks 0 and 1 own two each.
     rt = Runtime()
     seen = {0: [], 1: [], 2: []}
+    mine = {}
     schedule = StaticSchedule(10, chunk=2)
 
     def body(ctx):
+        mine[ctx.rank] = ctx.my_iterations(schedule)
         ctx.parallel_for(schedule, lambda i: seen[ctx.rank].append(i))
 
     rt.root().fork_join([body] * 3)
     for rank in seen:
-        assert seen[rank] == schedule.owned(rank, 3)
+        assert seen[rank] == schedule.owned(rank, 3) == mine[rank] == sorted(mine[rank])
+    assert seen[0] == [0, 1, 6, 7]
+    assert sorted(i for its in seen.values() for i in its) == list(range(10))
     rt.finish()
 
 
@@ -2057,3 +2064,147 @@ def test_per_thread_traces_do_not_depend_on_timing():
     second = _per_thread_trace(seed=2)
     assert first == second
     assert set(first) == {"0", "1", "2"}
+
+
+def team_trace(**runtime_args):
+    """``rt.trace`` of a 3-member team whose members each write a cell of
+    their own, wait a task, contribute to a reduction, run a barrier, a
+    nested ``fork_join`` and a second barrier. The CI workflow runs it
+    too."""
+    rt = Runtime({"a0": 0, "a1": 0, "a2": 0, "total": 0}, trace=True, **runtime_args)
+
+    def member(ctx):
+        mine = f"a{ctx.rank}"
+        ctx.write(mine, ctx.rank + 1)
+        ctx.contribute("total", ctx.taskwait(ctx.spawn_task(lambda t: t.read(mine) * 10)))
+        ctx.barrier()
+        ctx.fork_join([lambda c: c.barrier()] * 2)
+        ctx.barrier()
+
+    rt.root().fork_join([member] * 3, [Reduction("total", 0, operator.add)])
+    assert rt.root().read("total") == 60
+    rt.finish()
+    assert rt.errors == {}
+    return rt.trace
+
+
+def _in_event_order(trace):
+    """Whether ``trace`` lists threads by ascending tid, and each thread's
+    events by ascending seq with its terminal release last."""
+    keys = []
+    for line in trace:
+        tid, seq = map(int, line.split()[1:3])
+        keys.append((tid, seq or math.inf))
+    return keys == sorted(keys)
+
+
+def test_the_whole_trace_does_not_depend_on_the_schedule_or_the_hash_seed():
+    traces = {seed: team_trace(seed=seed, delay=0.001) for seed in (None, 1, 2, 3)}
+    assert len(set(traces.values())) == 1
+    trace = traces[1]
+    assert len(trace) == 76 and _in_event_order(trace)
+    # Rank 0 of the team: its birth, its task, the barrier tree's root
+    # folding the reduction, its nested pair, the second barrier, death.
+    assert [line for line in trace if line.startswith("EVT 1 ")] == [
+        "EVT 1 1 ACQ 0 1",
+        "EVT 1 2 REL 4294967297 1",
+        "EVT 1 3 ACQ 4294967297 0",
+        "EVT 1 4 ACQ 2 4",
+        "EVT 1 5 ACQ 3 4",
+        "EVT 1 6 REL 3 5",
+        "EVT 1 7 REL 2 5",
+        "EVT 1 8 REL 4294967298 1",
+        "EVT 1 8 REL 4294967299 1",
+        "EVT 1 9 ACQ 4294967298 0",
+        "EVT 1 9 ACQ 4294967299 0",
+        "EVT 1 10 ACQ 2 8",
+        "EVT 1 11 ACQ 3 8",
+        "EVT 1 12 REL 3 9",
+        "EVT 1 13 REL 2 9",
+        "EVT 1 0 REL -1 -1",
+    ]
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runtime.__file__)))
+    code = "import test_runtime as t; print(*t.team_trace(seed=2, delay=0.001), sep='\\n')"
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src + os.pathsep + tests}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert tuple(proc.stdout.splitlines()) == trace
+
+
+def test_a_child_run_on_its_waiters_os_thread_logs_under_its_own_tid():
+    rt = Runtime({"x": 0}, trace=True)
+    root = rt.root()
+    ran_on = {}
+
+    def record(ctx):
+        ran_on[ctx.tid] = threading.get_ident()
+
+    root.fork_join([record] * 2)
+    root.taskwait(root.spawn_task(record))
+    rt.finish()
+    me = threading.get_ident()
+    assert ran_on[1] != me and ran_on[2] == me and ran_on[3] == me
+    assert rt.trace == (
+        "EVT 0 1 REL 1 1",
+        "EVT 0 1 REL 2 1",
+        "EVT 0 2 ACQ 1 0",
+        "EVT 0 2 ACQ 2 0",
+        "EVT 0 3 REL 3 1",
+        "EVT 0 4 ACQ 3 0",
+        "EVT 1 1 ACQ 0 1",
+        "EVT 1 0 REL -1 -1",
+        "EVT 2 1 ACQ 0 1",
+        "EVT 2 0 REL -1 -1",
+        "EVT 3 1 ACQ 0 3",
+        "EVT 3 0 REL -1 -1",
+    )
+
+
+def test_a_failed_run_still_renders_its_trace():
+    assert Runtime().trace == ()
+    # Both members write x between the same two barriers: a race.
+    raced = Runtime({"x": 0}, trace=True)
+
+    def member(ctx):
+        ctx.write("x", ctx.rank)
+        ctx.barrier()
+
+    with pytest.raises(DataRaceError):
+        raced.root().fork_join([member] * 2)
+    raced.finish()
+    # Rank 0 raises in its barrier acquire, so the root's join is doomed.
+    assert raced.trace == (
+        "EVT 0 1 REL 1 1",
+        "EVT 0 1 REL 2 1",
+        "EVT 1 1 ACQ 0 1",
+        "EVT 1 2 ACQ 2 2",
+        "EVT 2 1 ACQ 0 1",
+        "EVT 2 2 REL 1 2",
+    )
+    # The root's join claims both terminals, then its first merge races:
+    # the acquire is logged whole, with both partners.
+    joined = Runtime({"x": 0}, trace=True)
+    root = joined.root()
+    team = root.fork([lambda ctx: ctx.write("x", 1), lambda ctx: None])
+    root.write("x", 2)
+    with pytest.raises(DataRaceError):
+        root.join(team)
+    joined.finish()
+    assert joined.trace[:4] == (
+        "EVT 0 1 REL 1 1",
+        "EVT 0 1 REL 2 1",
+        "EVT 0 2 ACQ 1 0",
+        "EVT 0 2 ACQ 2 0",
+    )
+    assert _in_event_order(joined.trace)
+    # A task that acquires a release nobody makes is doomed with the root.
+    stuck = Runtime(trace=True)
+    root = stuck.root()
+    with pytest.raises(DeadlockError):
+        root.taskwait(root.spawn_task(lambda ctx: ctx.ep.acquire(ctx.ws, SyncLabel(0, 100))))
+    stuck.finish()
+    assert stuck.trace == ("EVT 0 1 REL 1 1", "EVT 1 1 ACQ 0 1")

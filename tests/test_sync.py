@@ -14,7 +14,7 @@ import pytest
 
 from determ.errors import ConfigError, DataRaceError, DeadlockError, PairingError
 from determ.store import Diff, Workspace, global_addresses
-from determ.sync import TERMINAL_SEQ, ChannelRegistry, Endpoint, SyncLabel
+from determ.sync import TERMINAL_SEQ, ChannelRegistry, Endpoint, SyncLabel, trace_lines
 
 
 def lab(t, n):
@@ -655,15 +655,14 @@ def test_trace_lines_are_deterministic_per_thread():
         reg = ChannelRegistry()
         init = {"x": 0}
         ws = {t: Workspace(t, init) for t in (0, 1)}
-        lines = {t: [] for t in (0, 1)}
-        ep = {t: Endpoint(reg, t, recorder=lines[t].append) for t in (0, 1)}
+        ep = {t: Endpoint(reg, t, log=[]) for t in (0, 1)}
         table = global_addresses(init)
         ws[0].write(table["x"], 1)
         ep[0].release_set(ws[0], [lab(1, 1), lab(1, 2)])
         ep[1].acquire(ws[1], lab(0, 1))
         ep[1].acquire(ws[1], lab(0, 1))
         ep[0].release_terminal(ws[0])
-        return lines
+        return {t: trace_lines(t, ep[t].log) for t in (0, 1)}
 
     first, second = run(), run()
     assert first == second
