@@ -73,7 +73,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, DeadlockError, UnallocatedError
 from .store import Address, Record, Workspace, global_addresses
@@ -120,6 +120,14 @@ class Team:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @functools.cached_property
+    def _accumulators(self) -> dict[str, tuple[Reduction, tuple[Address, ...]]]:
+        """Per reduction variable, its declaration and each rank's accumulator."""
+        return {
+            spec.var: (spec, tuple(Address(t, idx) for t in self.members))
+            for idx, spec in enumerate(self.reductions, 1)
+        }
 
 
 @dataclass(frozen=True)
@@ -170,12 +178,9 @@ class StaticSchedule:
 # ----------------------------------------------------------------------
 
 
-class _Step(NamedTuple):
-    """One planned sync event: a release set or an acquire set."""
-
-    kind: str  # "rel" | "acq"
-    mine: SyncLabel
-    partners: tuple[SyncLabel, ...]
+# One planned sync event, a release set or an acquire set: ("rel" | "acq",
+# the seq it must carry, its partners). Plain, as each round builds its own.
+_Step = tuple[str, int, tuple[SyncLabel, ...]]
 
 
 # Every collective is a template: per rank, its steps as (kind, seq
@@ -713,9 +718,7 @@ class ThreadCtx:
         self._fold_partials(team)
         # The members, and every task they waited for, are done: nothing
         # that can still run holds an accumulator, and nobody reads one.
-        self.ws.drop(
-            Address(t, idx + 1) for t in team.members for idx in range(len(team.reductions))
-        )
+        self.ws.drop(acc for _, accs in team._accumulators.values() for acc in accs)
 
     def fork_join(
         self,
@@ -745,40 +748,38 @@ class ThreadCtx:
         delta = self.ep.seq - counters[self.rank]
         if delta:
             counters = [s + delta for s in counters]
-        self._counters = [s + u for s, u in zip(counters, used)]
+        self._counters = list(map(operator.add, counters, used))
         members = self.team.members
         base = counters[self.rank]
-        return [
-            _Step(
-                kind,
-                SyncLabel(self.tid, base + off),
-                tuple([SyncLabel(members[p], counters[p] + poff) for p, poff in partners]),
-            )
-            for kind, off, partners in steps[self.rank]
-        ]
-
-    def _expect_label(self, planned: SyncLabel, what: str) -> None:
-        if planned.thread != self.tid or planned.seq != self.ep.next_seq():
-            raise ConfigError(
-                f"synchronization drift in {what}: planned {planned}, "
-                f"next actual seq {self.ep.next_seq()}"
-            )
+        out = []
+        for kind, off, partners in steps[self.rank]:
+            labels = tuple([SyncLabel(members[p], counters[p] + poff) for p, poff in partners])
+            out.append((kind, base + off, labels))
+        return out
 
     def _take(self, step: _Step, what: str) -> None:
-        """Run one planned step, after checking it carries its label."""
-        self._expect_label(step.mine, what)
-        if step.kind == "rel":
-            self.ep.release_set(self.ws, step.partners)
+        """Run one planned step, after checking it carries its seq. Its
+        partners go to the endpoint unchecked (``_planned``)."""
+        kind, seq, partners = step
+        ep = self.ep
+        if seq != ep.seq + 1:
+            raise ConfigError(
+                f"synchronization drift in {what}: planned {SyncLabel(self.tid, seq)}, "
+                f"next actual seq {ep.next_seq()}"
+            )
+        if kind == "rel":
+            ep.release_set(self.ws, partners, _planned=True)
         else:
-            self.ep.acquire_set(self.ws, step.partners)
+            ep.acquire_set(self.ws, partners, _planned=True)
 
     def contribute(self, var: str, value: Any) -> None:
         team = self._require_team()
-        idx = next((i for i, s in enumerate(team.reductions) if s.var == var), None)
-        if idx is None:
-            raise ConfigError(f"no reduction declared for {var!r}")
-        acc = Address(self.tid, idx + 1)
-        self.write(acc, team.reductions[idx].combine(self.ws.read(acc), value))
+        try:
+            spec, accs = team._accumulators[var]
+        except KeyError:
+            raise ConfigError(f"no reduction declared for {var!r}") from None
+        acc = accs[self.rank]
+        self.write(acc, spec.combine(self.ws.read(acc), value))
 
     def barrier(self, algorithm: str = "tree") -> None:
         """One team-wide barrier round; folds pending reductions."""
@@ -794,7 +795,7 @@ class ThreadCtx:
         fold = self.rank == 0 and bool(team.reductions)
         acquired = False
         for step in steps:
-            if step.kind == "acq":
+            if step[0] == "acq":
                 acquired = True
             elif fold and acquired:
                 # Rank 0 now holds every member's accumulator: fold once,
@@ -804,8 +805,8 @@ class ThreadCtx:
             self._take(step, "barrier")
         if fold:  # a team of one has no steps
             self._fold_partials(team)
-        if team.reductions:
-            self._reset_accumulators(team)
+        for spec, accs in team._accumulators.values():  # reset for the next round
+            self.write(accs[self.rank], spec.identity)
 
     def _fold_partials(self, team: Team) -> None:
         """Fold every member's accumulator into each reduction variable,
@@ -813,15 +814,11 @@ class ThreadCtx:
         barrier) holds every member's accumulator as written. It writes
         through the workspace, since ``write`` rejects the variable under
         a live team."""
-        for idx, spec in enumerate(team.reductions):
-            var_addr = self.addr(spec.var)
-            partials = [self.ws.read(Address(t, idx + 1)) for t in team.members]
+        for spec, accs in team._accumulators.values():
+            var_addr = self._names[spec.var]
+            partials = [self.ws.read(acc) for acc in accs]
             folded = spec.combine(self.ws.read(var_addr), tree_fold(partials, spec.combine))
             self.ws.write(var_addr, folded)
-
-    def _reset_accumulators(self, team: Team) -> None:
-        for idx, spec in enumerate(team.reductions):
-            self.write(Address(self.tid, idx + 1), spec.identity)
 
     # -- ordered regions and loops -----------------------------------------
 

@@ -63,6 +63,12 @@ first ``apply_diff`` adopts a whole diff. So every receiver that is not
 empty already holds every initial cell a diff can carry, and of all
 receivers only an empty one reads a whole shipped map, by copying it.
 
+A walked bucket whose addresses the receiver indexes, all of them,
+under the same writer skips the rule: each local cell there carries that
+writer's stamp, at or below the receiver's counter, which the sender's
+exceeds, so the rule would adopt every newer incoming cell and report
+nothing. A team that rewrites its own cells merges that way.
+
 A release ships the whole cell map, but a wide one costs what changed.
 A workspace of fewer than ``_PATCH_MIN`` cells copies its map at each
 release, in C. A wider one keeps the map its last full release shipped
@@ -551,7 +557,9 @@ class Workspace:
         record = self._record
         theirs = diff.sender_knowledge
         theirs_summary = diff.summary
-        learned, newly = record.merge(summary, theirs_summary)
+        # A summary shared with mine, or empty, names no retirement I lack.
+        skip = theirs_summary is summary or not theirs_summary
+        learned, newly = (summary, []) if skip else record.merge(summary, theirs_summary)
         writes = diff.writes
         index = diff.index
         # writers the sender knows further, with their new counters
@@ -577,6 +585,11 @@ class Workspace:
                 addrs = bucket = index.get(writer)
                 if bucket is None:
                     continue  # all its writes were overwritten since
+                if (held_here := self._index.get(writer)) is not None and bucket <= held_here:
+                    # All held under ``writer``: adopt what is newer (docstring).
+                    got = [(addr, cell) for addr in bucket if (cell := writes[addr])[0][1] > have]
+                    groups.append((writer, bucket, got, ()))
+                    continue
             else:
                 have = mine.get(writer, 0)
                 bucket = None

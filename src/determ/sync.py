@@ -26,10 +26,16 @@ live; but a satisfied waiter stays in its wait until its OS thread runs,
 so under the GIL every live thread is usually in one, and the common
 case walks the live threads up to the first that runs.
 
-Each blocked acquire sleeps on a slot of its own, a condition on the
-registry lock. A deposit wakes only the acquires it fills, a fault only
+A blocked acquire sleeps on its thread's one wait slot, a condition on
+the registry lock built at the thread's first blocked claim and dropped
+when it is done. A deposit wakes only the acquires it fills, a fault only
 its acquire, a verdict only the doomed, so a satisfied acquire is woken
 once and nobody else is woken for it.
+
+A user's or a script's sync event is checked: distinct partners of real
+threads, seq 1 or more for a release, an acquire's sorted. A collective's
+planned step is not, since every labelling of a template passes already:
+``_planned`` partners meet only the registry's pairing checks.
 
 A thread's death diff is deposited like any release, under the
 reserved seq 0 and with no target: it floats until whichever acquire
@@ -85,7 +91,7 @@ class _Waiter:
     def __init__(
         self,
         acq: SyncLabel,
-        named: frozenset[SyncLabel],
+        named: tuple[SyncLabel, ...],
         missing: set[SyncLabel],  # named releases not deposited yet
         slot: threading.Condition,
     ) -> None:
@@ -115,8 +121,10 @@ class ChannelRegistry:
         self._floating: dict[SyncLabel, Diff] = {}
         # every deposit and claimed terminal: release label -> its targets
         self._rel_targets: dict[SyncLabel, tuple[SyncLabel, ...]] = {}
-        # executed acquires: acquire label -> the release labels it named
-        self._claims: dict[SyncLabel, frozenset[SyncLabel]] = {}
+        # executed acquires: acquire label -> the release labels it named, sorted
+        self._claims: dict[SyncLabel, tuple[SyncLabel, ...]] = {}
+        # tid -> the wait slot its blocked claims sleep on, until it is done
+        self._slots: dict[int, threading.Condition] = {}
         # tid -> its claim while in the wait loop
         self._waiting: dict[int, _Waiter] = {}
         # release label -> tids in the wait loop whose claim names it
@@ -137,6 +145,7 @@ class ChannelRegistry:
 
     def mark_done(self, tid: int) -> None:
         with self._cond:
+            self._slots.pop(tid, None)
             if tid in self._live:
                 self._live.remove(tid)
                 self._lenders.pop(tid, None)  # its lender stays idle only if blocked
@@ -212,7 +221,7 @@ class ChannelRegistry:
                     waiter = None
                 claimed = self._claims.get(target)
                 if claimed is not None and rel not in claimed:
-                    claimants = tuple(claimed) + (rel,)
+                    claimants = claimed + (rel,)
                     if waiter is None:
                         raise self._record("acquire", target, claimants)
                     self._fault_waiter(target.thread, "acquire", target, claimants)
@@ -236,29 +245,31 @@ class ChannelRegistry:
         ``run`` runs live thread ``child`` to its end on the calling OS
         thread, with the lock released; ``acq.thread`` counts as idle
         until ``child`` is done, even once its wait has ended.
-        Then the claim waits as usual."""
-        named = frozenset(rels)
+        Then the claim waits as usual. Each label of ``rels`` is named
+        once, and their aims are checked in ascending order."""
+        named = tuple(rels) if len(rels) == 1 else tuple(sorted(set(rels)))
         with self._cond._lock:  # type: ignore[attr-defined]
             assert acq not in self._claims, "acquire labels never repeat"
             self._claims[acq] = named
             # Deposits already aimed at this label must all be named.
             pending = self._targeted.get(acq, {})
-            if not named.issuperset(pending):
-                raise self._record("acquire", acq, tuple(named.union(pending)))
+            if pending.keys() - named:
+                raise self._record("acquire", acq, tuple({*named, *pending}))
             missing = set()
-            for rel in sorted(named):
+            for rel in named:
                 aimed = self._rel_targets.get(rel)
                 if aimed and acq not in aimed:
                     raise self._record("release", rel, aimed + (acq,))
                 if rel not in pending and rel not in self._floating:
                     missing.add(rel)
             if missing:
-                self._wait(_Waiter(acq, named, missing, self._slot()), lend)
+                self._wait(_Waiter(acq, named, missing, self._slot(acq.thread)), lend)
             # Every deposit aimed at ``acq`` is named, or the claim faulted.
             out = self._targeted.pop(acq, {})
-            for rel in named.difference(out):
-                out[rel] = self._floating.pop(rel)
-                self._aim(rel, (acq,))
+            for rel in named:
+                if rel not in out:
+                    out[rel] = self._floating.pop(rel)
+                    self._aim(rel, (acq,))
             return out
 
     # ------------------------------------------------------------------
@@ -293,11 +304,15 @@ class ChannelRegistry:
         self._violations.append(err)
         return err
 
-    def _slot(self) -> threading.Condition:
-        """A wait slot for one claim: a condition of ``_cond``'s own class
-        on ``_cond``'s lock, so a swapped-in ``_cond`` covers it too."""
-        cond = self._cond
-        return type(cond)(cond._lock)  # type: ignore[attr-defined]
+    def _slot(self, tid: int) -> threading.Condition:
+        """``tid``'s wait slot, built at its first blocked claim: a
+        condition of ``_cond``'s own class on ``_cond``'s lock, so a
+        swapped-in ``_cond`` covers it too."""
+        slot = self._slots.get(tid)
+        if slot is None:
+            cond = self._cond
+            slot = self._slots[tid] = type(cond)(cond._lock)  # type: ignore[attr-defined]
+        return slot
 
     def _wait(self, waiter: _Waiter, lend: tuple[int, Callable[[], None]] | None) -> None:
         """Post ``waiter`` for its thread, run ``lend`` if given, then
@@ -434,9 +449,12 @@ class Endpoint:
         """Send everything known so far toward one acquire event."""
         return self.release_set(ws, (partner,))
 
-    def release_set(self, ws: Workspace, partners: Sequence[SyncLabel]) -> SyncLabel:
-        """One event, one diff, deposited on a channel per partner."""
-        targets = _validate_partners(partners, min_seq=1)
+    def release_set(
+        self, ws: Workspace, partners: Sequence[SyncLabel], _planned: bool = False
+    ) -> SyncLabel:
+        """One event, one diff, deposited on a channel per partner;
+        ``_planned`` partners go unchecked (module docstring)."""
+        targets = partners if _planned else _validate_partners(partners, min_seq=1)
         if self.hook is not None:
             self.hook()
         self.seq += 1
@@ -456,19 +474,21 @@ class Endpoint:
         ws: Workspace,
         partners: Sequence[SyncLabel],
         lend: tuple[int, Callable[[], None]] | None = None,
+        _planned: bool = False,
     ) -> SyncLabel:
         """Block for all named releases; apply their diffs in canonical
         ascending label order (order is part of the semantics: it fixes
-        conflict attribution). ``lend`` goes to ``ChannelRegistry.claim``."""
-        named = _validate_partners(partners, min_seq=TERMINAL_SEQ)
+        conflict attribution). ``lend`` goes to ``ChannelRegistry.claim``;
+        ``_planned`` is as for ``release_set``."""
+        named = partners if _planned else tuple(sorted(_validate_partners(partners, TERMINAL_SEQ)))
         if self.hook is not None:
             self.hook()
         self.seq += 1
         label = SyncLabel(self.thread, self.seq)
         diffs = self.registry.claim(label, named, lend)
         if self.log is not None:
-            self.log.append((self.seq, "ACQ", tuple(sorted(named))))
-        for rel in sorted(named):
+            self.log.append((self.seq, "ACQ", named))
+        for rel in named:
             ws.apply_diff(diffs[rel])
         return label
 

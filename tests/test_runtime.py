@@ -228,6 +228,53 @@ def test_pairwise_plan_consumes_two_labels_per_member():
     assert _pairwise_template(3, 2)[1] == (4, 4, 4)
 
 
+def _planned_partners(template, counters):
+    """Every step's partners, rank by rank, as ``_plan`` labels them for a
+    team of children of thread 5 whose counters stand at ``counters``."""
+    n = len(counters)
+    rt = Runtime()
+    members = tuple(range(5 * 2**32 + 1, 5 * 2**32 + n + 1))
+    team = runtime.Team(members, parent=5)
+    out = []
+    for rank in range(n):
+        ctx = runtime.ThreadCtx(rt, members[rank], team, rank)
+        ctx._counters = list(counters)
+        ctx.ep.seq = counters[rank]
+        out += [(kind, partners) for kind, _, partners in ctx._plan(template)]
+    rt.finish()
+    return out
+
+
+_PLANNED_TEMPLATES = (
+    [pytest.param(_tree_template(n), id=f"tree-{n}") for n in [*range(1, 10), 16, 32]]
+    + [
+        pytest.param(_pairwise_template(n, r), id=f"pairwise-{n}x{r}")
+        for n in (1, 2, 3, 5, 8)
+        for r in (1, 2)
+    ]
+    + [
+        pytest.param(_ordered_template(s, n), id=f"ordered-{s.iterations}.{s.chunk}-{n}")
+        for s in (StaticSchedule(11), StaticSchedule(13, chunk=2), StaticSchedule(20, chunk=3))
+        for n in (1, 2, 3, 5, 8)
+    ]
+)
+
+
+@pytest.mark.parametrize("template", _PLANNED_TEMPLATES)
+def test_planned_partners_are_what_the_checks_would_hand_on(template):
+    # A collective's step hands its partners to the endpoint unchecked
+    # and unsorted: that is exact only while every labelling of every
+    # template passes the checks a user's call gets, unchanged.
+    n = len(template[1])
+    equal = [7] * n
+    unequal = [1 + 3 * rank + rank % 2 for rank in range(n)]
+    for counters in (equal, unequal, unequal[::-1]):
+        for kind, partners in _planned_partners(template, counters):
+            min_seq = 1 if kind == "rel" else sync.TERMINAL_SEQ
+            assert sync._validate_partners(partners, min_seq) == partners
+            assert tuple(sorted(partners)) == partners
+
+
 def test_tree_fold_matches_left_fold_for_associative_ops():
     vals = ["a", "b", "c", "d", "e"]
     assert tree_fold(vals, operator.add) == "abcde"
@@ -519,7 +566,28 @@ def test_each_satisfied_acquire_wakes_its_waiter_at_most_once():
     assert claims[0] == 1 and waits[0] <= 1
     assert set(claims) == {0, 1, 2, 3, 4}
     assert all(waits[t] <= claims[t] for t in waits)
+    # Some claim did sleep, on a slot of ``_cond``'s class, or the bounds
+    # above hold of nothing.
+    assert sum(waits.values()) > 0
     rt.finish()
+
+
+def test_a_finished_thread_keeps_no_wait_slot():
+    # Each thread's claims sleep on one slot, dropped when it is done: a
+    # long-lived Runtime holds slots for live threads only.
+    rt = Runtime({"x": 0}, seed=2, delay=0.0005)
+    root = rt.root()
+
+    def body(ctx):
+        for _ in range(5):
+            ctx.barrier()
+        ctx.taskwait(ctx.spawn_task(lambda t: t.read("x")))
+
+    for _ in range(20):
+        root.fork_join([body] * 3)
+        assert set(rt.registry._slots) <= {root.tid}
+    rt.finish()
+    assert rt.registry._slots == {}
 
 
 def test_runtime_finish_is_idempotent():

@@ -479,6 +479,66 @@ def test_acquire_visits_only_the_cells_it_lacks():
     b.check_invariants()
 
 
+def _same_writer_path(ws, diff):
+    """Whether merging ``diff`` into ``ws`` adopts some bucket by the
+    same-writer path: a writer the sender knows further whose whole
+    bucket ``ws`` indexes under that writer."""
+    return any(
+        top > ws._live.get(w, top)
+        and (bucket := diff.index.get(w)) is not None
+        and bucket <= ws._index.get(w, set())
+        for w, top in diff.sender_knowledge.items()
+    )
+
+
+def test_a_bucket_held_under_its_writer_adopts_only_the_newer_cells():
+    names = {f"g{i}": 0 for i in range(6)}
+    a, b, table = _pair(names)
+    addrs = sorted(table.values())
+    for addr in addrs[:4]:
+        a.write(addr, 1)
+    b.apply_diff(a.extract_diff())
+    b.write(addrs[5], "b")
+    before = dict(b.cells)
+    index = {w: set(bucket) for w, bucket in b._index.items()}
+    for addr in addrs[1:3]:
+        a.write(addr, 2)
+    diff = a.extract_diff()
+    assert _same_writer_path(b, diff)
+    b.cells = _Counted(b.cells)
+    b.apply_diff(diff)
+    assert b.cells.lookups == 0  # no cell went through the three-way rule
+    b.cells = b.cells.plain()
+    assert b.cells == {**before, addrs[1]: diff.writes[addrs[1]], addrs[2]: diff.writes[addrs[2]]}
+    assert b._index == index
+    assert b.knowledge == {1: 6, 2: 1}
+    b.check_invariants()
+
+
+def test_a_bucket_with_a_cell_held_by_another_writer_takes_the_rule():
+    # b overwrote one cell of writer 1's bucket, so the bucket is not held
+    # under writer 1 whole: the cell-by-cell rule reports the race, with
+    # the payload it gave before the same-writer path existed.
+    names = {f"g{i}": 0 for i in range(6)}
+    a, b, table = _pair(names)
+    addrs = sorted(table.values())
+    for addr in addrs[:4]:
+        a.write(addr, 1)
+    b.apply_diff(a.extract_diff())
+    b.write(addrs[2], "b")
+    for addr in addrs[1:4]:
+        a.write(addr, 2)
+    diff = a.extract_diff()
+    assert not _same_writer_path(b, diff)
+    before = b.state_bytes()
+    with pytest.raises(DataRaceError) as info:
+        b.apply_diff(diff)
+    assert str(info.value) == "conflicting concurrent writes: @0.3[2.1|1.6]"
+    assert info.value.conflicts == (Conflict(addrs[2], VersionStamp(2, 1), VersionStamp(1, 6)),)
+    assert b.state_bytes() == before
+    b.check_invariants()
+
+
 def test_diff_index_is_never_changed_after_release():
     a, b, table = _pair({"x": 0, "y": 0})
     a.write(table["x"], 1)
@@ -700,7 +760,7 @@ def test_event_set_model_agrees_on_random_histories(width):
     # which fresh receivers adopt and keep and retirements discard.
     empty_adopts = foreign_writes = 0
     terminal_applies = passed_on = chained = drops = 0
-    patched_merges = patched_fresh = inherited = discarded = 0
+    patched_merges = patched_fresh = inherited = discarded = same_writer = 0
     for seed in range(60):
         rng = random.Random(seed)
         init = {f"g{i:03d}": 0 for i in range(width)}
@@ -763,6 +823,7 @@ def test_event_set_model_agrees_on_random_histories(width):
                 patched_merges += patched and not fresh
                 patched_fresh += patched and fresh
                 had = real[target]._snap is not None
+                same_writer += not fresh and _same_writer_path(real[target], diff)
                 try:
                     real[target].apply_diff(diff)
                 except DataRaceError as err:
@@ -804,5 +865,6 @@ def test_event_set_model_agrees_on_random_histories(width):
                 assert covers(real[t].knowledge, stamp) == mini[t].seen(stamp)
     assert empty_adopts > 0 and foreign_writes > 0
     assert terminal_applies > 0 and passed_on > 0 and chained > 0 and drops > 0
+    assert same_writer > 0
     if width > 2:
         assert patched_merges > 0 and patched_fresh > 0 and inherited > 0 and discarded > 0

@@ -577,8 +577,9 @@ def test_broadcast_matches_separate_releases():
 def test_acquire_set_applies_in_label_order():
     # Two concurrent writes to the same cell arrive in one acquire set;
     # the conflict must attribute "local" to the lower release label no
-    # matter which deposit landed first.
-    def run(deposit_order):
+    # matter which deposit landed first, or in which order a user's call
+    # names them.
+    def run(deposit_order, named=(lab(2, 1), lab(3, 1))):
         reg = ChannelRegistry()
         init = {"x": 0}
         table = global_addresses(init)
@@ -589,11 +590,11 @@ def test_acquire_set_applies_in_label_order():
         for t in deposit_order:
             ep[t].release(ws[t], lab(0, 1))
         with pytest.raises(DataRaceError) as info:
-            ep[0].acquire_set(ws[0], [lab(2, 1), lab(3, 1)])
+            ep[0].acquire_set(ws[0], named)
         (conflict,) = info.value.conflicts
         return conflict.local, conflict.incoming
 
-    assert run([2, 3]) == run([3, 2])
+    assert run([2, 3]) == run([3, 2]) == run([2, 3], [lab(3, 1), lab(2, 1)])
     local, incoming = run([2, 3])
     assert local.writer == 2 and incoming.writer == 3
 
@@ -630,10 +631,25 @@ def test_release_partners_must_be_real_events():
         ep[1].release(ws[1], lab(-3, 1))
 
 
+def test_a_claim_checks_its_releases_aims_in_ascending_order():
+    # Both named releases are aimed elsewhere: the lower one is reported,
+    # in whichever order the caller named them.
+    for rels in ([lab(1, 1), lab(2, 1)], [lab(2, 1), lab(1, 1), lab(2, 1)]):
+        reg = ChannelRegistry()
+        for rel in (lab(1, 1), lab(2, 1)):
+            reg.deposit(rel, [lab(9, 1)], empty_diff())
+        with pytest.raises(PairingError) as info:
+            reg.claim(lab(3, 1), rels)
+        assert (info.value.kind, info.value.contested) == ("release", lab(1, 1))
+        assert info.value.claimants == (lab(3, 1), lab(9, 1))
+
+
 def test_acquire_partners_may_name_terminal_labels():
     reg, ws, ep, table = _linked_pair()
     with pytest.raises(ConfigError):
         ep[1].acquire_set(ws[1], [lab(2, -1)])
+    with pytest.raises(ConfigError, match="duplicate partners"):
+        ep[1].acquire_set(ws[1], [lab(2, 1), lab(2, 1)])
     # seq 0 is legal for acquires: that is how joins name terminals.
     ep[2].release_terminal(ws[2])
     ep[1].acquire(ws[1], lab(2, TERMINAL_SEQ))
