@@ -81,6 +81,8 @@ from .sync import TERMINAL_SEQ, ChannelRegistry, Endpoint, SyncLabel, trace_line
 
 _JOIN_TIMEOUT = 60.0
 
+_label = tuple.__new__  # builds a SyncLabel in C, skipping its Python-level __new__
+
 # Ids per parent: the k-th child of thread t is t * _CHILDREN + k.
 _CHILDREN = 2**32
 
@@ -753,7 +755,7 @@ class ThreadCtx:
         base = counters[self.rank]
         out = []
         for kind, off, partners in steps[self.rank]:
-            labels = tuple([SyncLabel(members[p], counters[p] + poff) for p, poff in partners])
+            labels = tuple([_label(SyncLabel, (members[p], counters[p] + o)) for p, o in partners])
             out.append((kind, base + off, labels))
         return out
 

@@ -569,6 +569,7 @@ class Workspace:
         # cells change writer, with the old writer)
         groups = []
         conflicts: list[Conflict] = []
+        retired: dict[int, bool] = {}  # writer -> retired in the sender's view
         # The sender's live writers, then (with no counter) the writers
         # that retire here.
         entries = chain(theirs.items(), [(w, None) for w in newly]) if newly else theirs.items()
@@ -612,12 +613,15 @@ class Workspace:
                     continue
                 held = local[0]
                 was = held[0]
-                if held[1] <= theirs.get(was, 0) or record.retired(theirs_summary, was):
-                    got.append((addr, incoming))
-                    if was != writer:
-                        moved.append((addr, was))
-                else:
-                    conflicts.append(Conflict(addr, VersionStamp(*held), VersionStamp(*stamp)))
+                if held[1] > theirs.get(was, 0):
+                    if (gone := retired.get(was)) is None:
+                        gone = retired[was] = record.retired(theirs_summary, was)
+                    if not gone:
+                        conflicts.append(Conflict(addr, VersionStamp(*held), VersionStamp(*stamp)))
+                        continue
+                got.append((addr, incoming))
+                if was != writer:
+                    moved.append((addr, was))
             if got:
                 groups.append((writer, bucket, got, moved))
         if conflicts:

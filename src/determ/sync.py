@@ -44,6 +44,11 @@ how many sync events the child performed. The claim fixes the terminal's
 aim, as a deposit fixes an ordinary release's, so every other claim
 naming it faults the same way.
 
+Payloads name old events (a late release reports what a completed
+acquire named), so the pairing history lives as long as the registry:
+per thread, by seq, what each release was aimed at and what each acquire
+named, a lone partner as itself. A done thread's unclaimable diffs go.
+
 A claim is posted before it is waited for. A waiter whose claim names
 the terminal release of a child not launched yet can then lend that
 child its own OS thread: the child runs inside the claim, with the lock
@@ -63,6 +68,8 @@ from .store import Diff, Workspace
 
 #: Reserved seq for a thread's terminal (death) release.
 TERMINAL_SEQ = 0
+
+_REL, _ACQ = 0, 1  # a history slot's kind: a label's release or acquire event
 
 # Defensive bound so a runtime bug cannot hang the test suite forever.
 _WAIT_TIMEOUT = 120.0
@@ -115,14 +122,14 @@ class ChannelRegistry:
         # Registered, not yet done; a tid that leaves it is done.
         self._live: set[int] = set()
         self._doomed: set[int] = set()
-        # acquire label -> {release label -> diff} awaiting that acquire
-        self._targeted: dict[SyncLabel, dict[SyncLabel, Diff]] = {}
+        # acquire label -> {release label -> diff, or None once it can never be claimed}
+        self._targeted: dict[SyncLabel, dict[SyncLabel, Diff | None]] = {}
         # terminal releases not yet claimed, by label
         self._floating: dict[SyncLabel, Diff] = {}
-        # every deposit and claimed terminal: release label -> its targets
-        self._rel_targets: dict[SyncLabel, tuple[SyncLabel, ...]] = {}
-        # executed acquires: acquire label -> the release labels it named, sorted
-        self._claims: dict[SyncLabel, tuple[SyncLabel, ...]] = {}
+        # tid -> slot 2*seq + _REL: what release (tid, seq) was aimed at (0:
+        # the claimed terminal's); 2*seq + _ACQ: what acquire (tid, seq)
+        # named, sorted; a lone partner as itself; None where nothing is.
+        self._history: dict[int, list] = {}
         # tid -> the wait slot its blocked claims sleep on, until it is done
         self._slots: dict[int, threading.Condition] = {}
         # tid -> its claim while in the wait loop
@@ -146,6 +153,9 @@ class ChannelRegistry:
     def mark_done(self, tid: int) -> None:
         with self._cond:
             self._slots.pop(tid, None)
+            for target, pending in self._targeted.items():
+                if target[0] == tid:  # it claims no more: keep the labels, not the diffs
+                    self._targeted[target] = dict.fromkeys(pending)
             if tid in self._live:
                 self._live.remove(tid)
                 self._lenders.pop(tid, None)  # its lender stays idle only if blocked
@@ -200,26 +210,25 @@ class ChannelRegistry:
         the releaser.
         """
         targets = tuple(targets)
-        terminal = rel.seq == TERMINAL_SEQ
+        terminal = rel[1] == TERMINAL_SEQ
         assert not (terminal and targets), "a terminal release has no targets"
         with self._cond._lock:  # type: ignore[attr-defined]
-            if rel in self._rel_targets or rel in self._floating:
-                # Label reuse; cannot happen via endpoints.
-                claimants = (rel, rel) if terminal else self._rel_targets[rel] + targets
-                raise self._record("release", rel, claimants)
+            # Label reuse, found here or by ``_aim``, cannot happen via endpoints.
             if terminal:
+                if rel in self._floating or self._partners(rel, _REL) is not None:
+                    raise self._record("release", rel, (rel, rel))
                 self._floating[rel] = diff
                 for tid in self._naming.get(rel, ()):
                     self._fill(self._waiting[tid], rel)
-            else:
-                self._aim(rel, targets)
+            elif not self._aim(rel, targets):
+                raise self._record("release", rel, self._partners(rel, _REL) + targets)
             for target in targets:
-                waiter = self._waiting.get(target.thread)
-                # A waiter holding a fault or its doom has run its acquire,
-                # as in the model, and is leaving: it counts as gone.
+                waiter = self._waiting.get(target[0])
+                # A waiter holding a fault or its doom has run its acquire, as in
+                # the model, and counts as gone; any other names what it recorded.
                 if waiter is not None and (waiter.acq != target or waiter.fault is not None):
                     waiter = None
-                claimed = self._claims.get(target)
+                claimed = self._partners(target, _ACQ) if waiter is None else waiter.named
                 if claimed is not None and rel not in claimed:
                     claimants = claimed + (rel,)
                     if waiter is None:
@@ -249,21 +258,24 @@ class ChannelRegistry:
         once, and their aims are checked in ascending order."""
         named = tuple(rels) if len(rels) == 1 else tuple(sorted(set(rels)))
         with self._cond._lock:  # type: ignore[attr-defined]
-            assert acq not in self._claims, "acquire labels never repeat"
-            self._claims[acq] = named
+            hist = self._history.get(acq[0]) or self._history.setdefault(acq[0], [])
+            i = 2 * acq[1] + _ACQ
+            hist += [None] * (i + 1 - len(hist))
+            assert hist[i] is None, "acquire labels never repeat"
+            hist[i] = named[0] if len(named) == 1 else named
             # Deposits already aimed at this label must all be named.
-            pending = self._targeted.get(acq, {})
-            if pending.keys() - named:
+            pending = self._targeted.get(acq, ())
+            if pending and pending.keys() - named:
                 raise self._record("acquire", acq, tuple({*named, *pending}))
             missing = set()
             for rel in named:
-                aimed = self._rel_targets.get(rel)
+                aimed = None if rel in pending else self._partners(rel, _REL)
                 if aimed and acq not in aimed:
                     raise self._record("release", rel, aimed + (acq,))
                 if rel not in pending and rel not in self._floating:
                     missing.add(rel)
             if missing:
-                self._wait(_Waiter(acq, named, missing, self._slot(acq.thread)), lend)
+                self._wait(_Waiter(acq, named, missing, self._slot(acq[0])), lend)
             # Every deposit aimed at ``acq`` is named, or the claim faulted.
             out = self._targeted.pop(acq, {})
             for rel in named:
@@ -289,7 +301,7 @@ class ChannelRegistry:
         with self._cond:
             found = []
             for target, pending in self._targeted.items():
-                if target not in self._claims and len(pending) > 1:
+                if len(pending) > 1 and self._partners(target, _ACQ) is None:
                     err = PairingError("acquire", target, tuple(pending))
                     self._violations.append(err)
                     found.append(err)
@@ -303,6 +315,12 @@ class ChannelRegistry:
         err = PairingError(kind, contested, claimants)
         self._violations.append(err)
         return err
+
+    def _partners(self, label: SyncLabel, kind: int) -> tuple[SyncLabel, ...] | None:
+        """``label``'s ``kind`` event's partners as a tuple; None if none is recorded."""
+        hist, i = self._history.get(label[0], ()), 2 * label[1] + kind
+        got = hist[i] if i < len(hist) else None
+        return got if got is None or type(got) is tuple else (got,)
 
     def _slot(self, tid: int) -> threading.Condition:
         """``tid``'s wait slot, built at its first blocked claim: a
@@ -318,7 +336,7 @@ class ChannelRegistry:
         """Post ``waiter`` for its thread, run ``lend`` if given, then
         sleep on ``waiter.slot`` until every named release is in, or raise
         the fault or the doom that ends the wait."""
-        tid = waiter.acq.thread
+        tid = waiter.acq[0]
         self._waiting[tid] = waiter
         for rel in waiter.named:
             self._naming.setdefault(rel, []).append(tid)
@@ -390,16 +408,22 @@ class ChannelRegistry:
             waiter.fault = self._record(kind, contested, claimants)
             waiter.slot.notify()
 
-    def _aim(self, rel: SyncLabel, targets: tuple[SyncLabel, ...]) -> None:
-        """Fix the acquires ``rel`` is aimed at, as its deposit or its
-        claim as a terminal does. A claim in the wait loop that names
-        ``rel`` under a label outside ``targets`` disagrees with it on the
-        pairing, and faults."""
-        self._rel_targets[rel] = targets
+    def _aim(self, rel: SyncLabel, targets: tuple[SyncLabel, ...]) -> bool:
+        """Fix the acquires ``rel`` is aimed at, as its deposit or its claim
+        as a terminal does, or return False if they are fixed. A claim in
+        the wait loop that names ``rel`` under a label outside ``targets``
+        disagrees with it on the pairing, and faults."""
+        hist = self._history.get(rel[0]) or self._history.setdefault(rel[0], [])
+        i = 2 * rel[1] + _REL
+        hist += [None] * (i + 1 - len(hist))
+        if hist[i] is not None:
+            return False
+        hist[i] = targets[0] if len(targets) == 1 else targets
         for tid in self._naming.get(rel, ()):
             acq = self._waiting[tid].acq
             if acq not in targets:
                 self._fault_waiter(tid, "release", rel, targets + (acq,))
+        return True
 
 
 def _validate_partners(
